@@ -99,6 +99,10 @@ class Matcher {
   // Rule set changed: drop memoized verdicts (script bodies stay cached —
   // they belong to the web, not to the rule set).
   void invalidate_memo();
+  // A rule id left the set: drop its cached text hash, so an id pinned
+  // again later cannot match against the old text. Memo entries and
+  // digests are keyed by text and stay exact.
+  void forget_rule(int rule_id) { rule_text_hash_.erase(rule_id); }
 
   const MatcherConfig& config() const { return cfg_; }
   // Nullptr when the cache is disabled.

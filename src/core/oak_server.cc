@@ -5,6 +5,7 @@
 #include <stdexcept>
 
 #include "browser/report_decoder.h"
+#include "core/rule_parser.h"
 #include "http/cookies.h"
 #include "util/strings.h"
 
@@ -74,7 +75,7 @@ obs::MetricsSnapshot OakServer::metrics_snapshot() const {
   return snap;
 }
 
-int OakServer::add_rule(Rule rule) {
+void OakServer::check_rule(const Rule& rule) const {
   std::string why;
   if (!rule.validate(&why)) {
     throw std::invalid_argument("invalid rule '" + rule.name + "': " + why);
@@ -83,27 +84,50 @@ int OakServer::add_rule(Rule rule) {
     throw std::invalid_argument("rule '" + rule.name + "' names policy '" +
                                 rule.policy + "' but no such strategy exists");
   }
+}
+
+int OakServer::install_rule_(Rule rule) {
   if (rule.id == 0) rule.id = next_rule_id_;
   next_rule_id_ = std::max(next_rule_id_, rule.id + 1);
   rules_.push_back(std::move(rule));
-  matcher_->invalidate_memo();
   return rules_.back().id;
 }
 
+int OakServer::add_rule(Rule rule) {
+  check_rule(rule);
+  const int id = install_rule_(std::move(rule));
+  matcher_->invalidate_memo();
+  return id;
+}
+
 void OakServer::add_rules(std::vector<Rule> rules) {
+  for (const auto& r : rules) check_rule(r);
   for (auto& r : rules) add_rule(std::move(r));
 }
 
 bool OakServer::remove_rule(int rule_id, double now) {
+  if (!retire_rule_(rule_id, now)) return false;
+  matcher_->invalidate_memo();
+  return true;
+}
+
+bool OakServer::retire_rule_(int rule_id, double now) {
   auto it = std::find_if(rules_.begin(), rules_.end(),
                          [&](const Rule& r) { return r.id == rule_id; });
   if (it == rules_.end()) return false;
   rules_.erase(it);
-  matcher_->invalidate_memo();
-  // Sorted sweep over every profile, hot and cold — the per-user expiration
-  // records must land in the decision log in the same (uid-ascending) order
-  // the old std::map iteration produced, tiered or not.
-  users_.for_each_sorted_mut([&](UserProfile& profile) {
+  matcher_->forget_rule(rule_id);
+  std::vector<std::string> uids;
+  if (auto h = holders_.find(rule_id); h != holders_.end()) {
+    uids = std::move(h->second);
+    holders_.erase(h);
+  }
+  std::sort(uids.begin(), uids.end());
+  uids.erase(std::unique(uids.begin(), uids.end()), uids.end());
+  // Holders in ascending uid order: the per-user expiration records land in
+  // the decision log in the order a sweep over every profile would produce,
+  // tiered or not. Everyone outside the index holds no state for the rule.
+  users_.for_each_of_mut(uids, [&](UserProfile& profile) {
     bool changed = false;
     auto active = profile.active.find(rule_id);
     if (active != profile.active.end()) {
@@ -124,6 +148,40 @@ bool OakServer::remove_rule(int rule_id, double now) {
   // id) starts a fresh one.
   engine_->erase_rule(rule_id);
   return true;
+}
+
+RuleReplacement OakServer::replace_rules(std::vector<Rule> rules, double now) {
+  for (const auto& r : rules) check_rule(r);
+  // A rule's identity for the diff is its rule-file text, which carries no
+  // id. The matcher memo is keyed by rule text, so kept rules keep their
+  // entries and retired texts' entries are never probed again.
+  std::vector<std::string> current;
+  current.reserve(rules_.size());
+  for (const Rule& r : rules_) current.push_back(format_rules({r}));
+  std::vector<bool> paired(rules_.size(), false);
+  RuleReplacement out;
+  out.ids.assign(rules.size(), 0);
+  std::vector<std::size_t> unpaired;
+  for (std::size_t i = 0; i < rules.size(); ++i) {
+    const std::string text = format_rules({rules[i]});
+    std::size_t j = 0;
+    while (j < current.size() && (paired[j] || current[j] != text)) ++j;
+    if (j < current.size()) {
+      paired[j] = true;
+      out.ids[i] = rules_[j].id;
+    } else {
+      unpaired.push_back(i);
+    }
+  }
+  for (std::size_t j = 0; j < rules_.size(); ++j) {
+    if (!paired[j]) out.retired.push_back(rules_[j].id);
+  }
+  for (int id : out.retired) retire_rule_(id, now);
+  for (std::size_t i : unpaired) {
+    out.ids[i] = install_rule_(std::move(rules[i]));
+    out.added.push_back(i);
+  }
+  return out;
 }
 
 void OakServer::install() {
@@ -541,6 +599,14 @@ void OakServer::consider_activations(
     }
     if (!hit) continue;
 
+    // About to create this user's first state for the rule: enter the
+    // holder index. Active and banned were ruled out above; any other
+    // state means the uid is indexed already.
+    if (!user.pending_violations.count(r.id) &&
+        !user.next_alternative.count(r.id) && !user.race.count(r.id) &&
+        !user.cooldown_until.count(r.id)) {
+      holders_[r.id].push_back(user.user_id);
+    }
     // Threshold counting and alternative choice are the strategy's call
     // (the built-in "paper" strategy reproduces the seed flow bit-for-bit).
     auto choice = engine_->on_rule_violation(r, user, hit->severity(), now);

@@ -21,6 +21,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "browser/report_view.h"
@@ -106,18 +107,38 @@ struct OakConfig {
   UserStoreConfig user_store;
 };
 
+// What OakServer::replace_rules did to the rule set.
+struct RuleReplacement {
+  std::vector<int> ids;             // final id of each given rule
+  std::vector<int> retired;         // in their old rule-set order
+  std::vector<std::size_t> added;   // input positions installed, ascending
+};
+
 class OakServer {
  public:
   OakServer(page::WebUniverse& universe, std::string site_host,
             OakConfig cfg = {});
 
+  // Throws std::invalid_argument unless the rule passes Rule::validate and
+  // names a strategy this server's policy engine has.
+  void check_rule(const Rule& rule) const;
   // Returns the rule id (assigned when the rule arrives with id 0).
   int add_rule(Rule rule);
+  // All-or-nothing: every rule is checked before the first is added.
   void add_rules(std::vector<Rule> rules);
-  // Retire a rule at runtime: deactivates it in every profile (logged as an
-  // expiration) and removes it from the rule set. Returns false for an
-  // unknown id.
+  // Retire a rule at runtime: deactivates it in every profile that holds
+  // state for it (logged as an expiration) and removes it from the rule
+  // set. Returns false for an unknown id.
   bool remove_rule(int rule_id, double now);
+  // Make `rules` the rule set, by diff. A given rule whose rule-file text
+  // (ids left out) equals a current rule's keeps that rule's id, its users'
+  // state and its memo entries; duplicate texts pair up as a multiset.
+  // Every other current rule is retired as remove_rule would, in rule-set
+  // order, then every unpaired given rule is appended in input order (id 0
+  // draws a fresh id, any other id is pinned). That is the order WAL replay
+  // of the matching kRemoveRule/kAddRule records reproduces. Checks every
+  // rule before changing anything.
+  RuleReplacement replace_rules(std::vector<Rule> rules, double now);
 
   // Register this server as the universe's handler for the site host.
   void install();
@@ -218,6 +239,11 @@ class OakServer {
                             const std::vector<std::uint64_t>& domain_hashes,
                             std::uint64_t scripts_hash, double now);
   void expire_rules(UserProfile& user, double now);
+  // Checked rule in, matcher memo untouched (callers decide).
+  int install_rule_(Rule rule);
+  // Drops the rule and every holder's state for it, logging kExpire for
+  // each active holder in ascending uid order; false for an unknown id.
+  bool retire_rule_(int rule_id, double now);
   // Capture the policy-independent replay context for one report: every
   // rule's (and every alternative's) first matching violator, via the
   // memoized matcher (Policy::record_context).
@@ -264,6 +290,13 @@ class OakServer {
   // default; cfg_.user_store.hot_capacity bounds resident profiles.
   // Declared after cfg_ (construction reads cfg_.user_store).
   TieredUserStore users_;
+  // Holder index: rule id → uids that may hold state for that rule (active,
+  // pending, next-alternative, banned, race or cooldown), so retirement
+  // visits those users only. A uid is appended when a matcher hit finds it
+  // holding no state for the rule, and when import_state loads it; entries
+  // leave only with their rule. Duplicates and stale uids (state since
+  // expired) are harmless: retirement dedups and they change nothing.
+  std::unordered_map<int, std::vector<std::string>> holders_;
   std::size_t next_user_ = 1;
   std::size_t reports_processed_ = 0;
   DecisionLog log_;

@@ -5,6 +5,7 @@
 // active-rule references are stored by rule id and survive as long as the
 // operator keeps ids stable — which add_rule does, since explicit ids are
 // preserved and generated ids are sequential.
+#include <algorithm>
 #include <vector>
 
 #include "core/oak_server.h"
@@ -170,6 +171,22 @@ void OakServer::import_state(const util::Json& snapshot) {
   // Commit only after the whole snapshot parsed (strong exception safety).
   // Rebuilding through get_or_create re-establishes tiering naturally: once
   // the hot tier fills, earlier-imported profiles demote to the spill file.
+  // The holder index is rebuilt from the imported state: every uid under
+  // every rule id it holds anything for (profiles arrive in uid order).
+  holders_.clear();
+  std::vector<int> held;
+  for (const UserProfile& p : profiles) {
+    held.clear();
+    for (const auto& [id, ar] : p.active) held.push_back(id);
+    for (const auto& [id, n] : p.pending_violations) held.push_back(id);
+    for (const auto& [id, n] : p.next_alternative) held.push_back(id);
+    for (int id : p.banned) held.push_back(id);
+    for (const auto& [id, rs] : p.race) held.push_back(id);
+    for (const auto& [id, until] : p.cooldown_until) held.push_back(id);
+    std::sort(held.begin(), held.end());
+    held.erase(std::unique(held.begin(), held.end()), held.end());
+    for (int id : held) holders_[id].push_back(p.user_id);
+  }
   users_.clear();
   for (UserProfile& p : profiles) {
     users_.get_or_create(p.user_id, 0.0) = std::move(p);

@@ -210,30 +210,52 @@ std::unique_lock<std::mutex> ShardedOakServer::lock_shard(Shard& s) const {
 
 int ShardedOakServer::add_rule(Rule rule) {
   std::unique_lock<std::shared_mutex> rules_lock(rules_mu_);
-  // The first shard validates and (for id 0) assigns the id; the others
+  return add_rule_locked_(std::move(rule));
+}
+
+std::vector<int> ShardedOakServer::add_rules(std::vector<Rule> rules) {
+  std::unique_lock<std::shared_mutex> rules_lock(rules_mu_);
+  for (const Rule& r : rules) shards_[0]->server->check_rule(r);
+  std::vector<int> ids;
+  ids.reserve(rules.size());
+  for (Rule& r : rules) ids.push_back(add_rule_locked_(std::move(r)));
+  return ids;
+}
+
+int ShardedOakServer::add_rule_locked_(Rule rule) {
+  // The first shard checks and (for id 0) assigns the id; the others
   // receive the rule with the id pinned, keeping the sets identical. A
-  // validation failure throws before any shard is touched.
+  // failed check throws before any shard is touched.
   const int id = shards_[0]->server->add_rule(rule);
   rule.id = id;
   for (std::size_t i = 1; i < shards_.size(); ++i) {
     shards_[i]->server->add_rule(rule);
   }
-  if (dur_ && dur_->recording()) {
-    // One control record under the exclusive rule lock: rule churn is a
-    // cross-shard mutation, and a single record can never tear across
-    // shards the way N per-shard copies could.
-    durability::Record rec;
-    rec.kind = durability::RecordKind::kAddRule;
-    rec.add_rule.seq = dur_->next_seq();
-    rec.add_rule.rule_id = id;
-    rec.add_rule.rule_text = format_rules({rule});
-    dur_->append_control(rec);
-  }
+  journal_add_rule_(rule);
   return id;
 }
 
-void ShardedOakServer::add_rules(std::vector<Rule> rules) {
-  for (auto& r : rules) add_rule(std::move(r));
+void ShardedOakServer::journal_add_rule_(const Rule& rule) {
+  if (!dur_ || !dur_->recording()) return;
+  // One control record under the exclusive rule lock: rule churn is a
+  // cross-shard mutation, and a single record can never tear across shards
+  // the way N per-shard copies could.
+  durability::Record rec;
+  rec.kind = durability::RecordKind::kAddRule;
+  rec.add_rule.seq = dur_->next_seq();
+  rec.add_rule.rule_id = rule.id;
+  rec.add_rule.rule_text = format_rules({rule});
+  dur_->append_control(rec);
+}
+
+void ShardedOakServer::journal_remove_rule_(int rule_id, double now) {
+  if (!dur_ || !dur_->recording()) return;
+  durability::Record rec;
+  rec.kind = durability::RecordKind::kRemoveRule;
+  rec.remove_rule.seq = dur_->next_seq();
+  rec.remove_rule.now = now;
+  rec.remove_rule.rule_id = rule_id;
+  dur_->append_control(rec);
 }
 
 bool ShardedOakServer::remove_rule(int rule_id, double now) {
@@ -242,15 +264,28 @@ bool ShardedOakServer::remove_rule(int rule_id, double now) {
   for (auto& shard : shards_) {
     removed = shard->server->remove_rule(rule_id, now) || removed;
   }
-  if (removed && dur_ && dur_->recording()) {
-    durability::Record rec;
-    rec.kind = durability::RecordKind::kRemoveRule;
-    rec.remove_rule.seq = dur_->next_seq();
-    rec.remove_rule.now = now;
-    rec.remove_rule.rule_id = rule_id;
-    dur_->append_control(rec);
-  }
+  if (removed) journal_remove_rule_(rule_id, now);
   return removed;
+}
+
+std::vector<int> ShardedOakServer::replace_rules(std::vector<Rule> rules,
+                                                 double now) {
+  for (Rule& r : rules) r.id = 0;
+  std::unique_lock<std::shared_mutex> rules_lock(rules_mu_);
+  // Shard 0 checks every rule (throwing before any shard changes), diffs
+  // and draws the fresh ids; the others apply the same diff with those ids
+  // pinned, so the sets stay identical.
+  const RuleReplacement done = shards_[0]->server->replace_rules(rules, now);
+  for (std::size_t k = 0; k < rules.size(); ++k) rules[k].id = done.ids[k];
+  for (std::size_t i = 1; i < shards_.size(); ++i) {
+    shards_[i]->server->replace_rules(rules, now);
+  }
+  // Only the change is journaled, as the records remove_rule and add_rule
+  // write; replaying them in this order rebuilds the same rule order (kept,
+  // then added), so journals from before diff-based PUT replay unchanged.
+  for (int id : done.retired) journal_remove_rule_(id, now);
+  for (std::size_t k : done.added) journal_add_rule_(rules[k]);
+  return done.ids;
 }
 
 http::Response ShardedOakServer::handle(const http::Request& req, double now) {
@@ -547,6 +582,16 @@ util::Json ShardedOakServer::export_state_locked() const {
   util::Json merged = shards_[0]->server->export_state();
   util::JsonObject& users = merged["users"].as_object();
   util::JsonArray& log = merged["log"].as_array();
+  // Replay contexts, present only when recorded, merge like the log.
+  util::JsonArray contexts;
+  auto take_contexts = [&contexts](util::Json& part) {
+    util::JsonObject& o = part.as_object();
+    auto it = o.find("contexts");
+    if (it == o.end()) return;
+    for (auto& c : it->second.as_array()) contexts.push_back(std::move(c));
+    o.erase(it);
+  };
+  take_contexts(merged);
   std::size_t reports = shards_[0]->server->reports_processed();
   for (std::size_t i = 1; i < shards_.size(); ++i) {
     util::Json part = shards_[i]->server->export_state();
@@ -554,12 +599,17 @@ util::Json ShardedOakServer::export_state_locked() const {
       users[uid] = std::move(u);
     }
     for (auto& d : part["log"].as_array()) log.push_back(std::move(d));
+    take_contexts(part);
     reports += shards_[i]->server->reports_processed();
   }
-  std::stable_sort(log.begin(), log.end(),
-                   [](const util::Json& a, const util::Json& b) {
-                     return a.at("t").as_number() < b.at("t").as_number();
-                   });
+  auto by_time = [](const util::Json& a, const util::Json& b) {
+    return a.at("t").as_number() < b.at("t").as_number();
+  };
+  std::stable_sort(log.begin(), log.end(), by_time);
+  if (!contexts.empty()) {
+    std::stable_sort(contexts.begin(), contexts.end(), by_time);
+    merged["contexts"] = std::move(contexts);
+  }
   merged["reports_processed"] = reports;
   merged["next_user"] = next_user_.load();
   return merged;
@@ -606,9 +656,15 @@ void ShardedOakServer::import_state(const util::Json& snapshot) {
 
   std::vector<util::JsonObject> shard_users(shards_.size());
   std::vector<util::JsonArray> shard_logs(shards_.size());
+  std::vector<util::JsonArray> shard_contexts(shards_.size());
   for (const auto& [uid, u] : users) shard_users[shard_for(uid)][uid] = u;
   for (const auto& d : log) {
     shard_logs[shard_for(d.at("user").as_string())].push_back(d);
+  }
+  if (const util::Json* contexts = snapshot.find("contexts")) {
+    for (const auto& c : contexts->as_array()) {
+      shard_contexts[shard_for(c.at("user").as_string())].push_back(c);
+    }
   }
 
   for (std::size_t i = 0; i < shards_.size(); ++i) {
@@ -620,6 +676,9 @@ void ShardedOakServer::import_state(const util::Json& snapshot) {
     part["reports_processed"] = i == 0 ? total_reports : 0;
     part["users"] = std::move(shard_users[i]);
     part["log"] = std::move(shard_logs[i]);
+    if (!shard_contexts[i].empty()) {
+      part["contexts"] = std::move(shard_contexts[i]);
+    }
     shards_[i]->server->import_state(util::Json(std::move(part)));
   }
   next_user_.store(next_user);

@@ -10,9 +10,11 @@
 //  * N lock shards, each a full single-threaded OakServer owning the
 //    profiles whose user-id hash lands on it (plus that shard's DecisionLog
 //    and memoized Matcher). A request locks only its shard.
-//  * The rule set is read-mostly configuration. Rule churn takes a
-//    std::shared_mutex exclusively and replicates the change to every shard
-//    (ids stay identical across shards); requests hold it shared.
+//  * The rule set is read-mostly configuration. Each rule change (one add,
+//    one remove, a whole POSTed file or a whole PUT replacement) is one
+//    exclusive section of a std::shared_mutex that replicates the change to
+//    every shard (ids stay identical across shards); requests hold it
+//    shared, so a request sees one rule-set version from start to end.
 //  * Users are minted here: a cookie-less request draws a fresh id from one
 //    atomic counter, is routed by its hash, and the Set-Cookie is attached
 //    on the way out — so shards never race on id allocation.
@@ -56,10 +58,19 @@ class ShardedOakServer {
                    std::size_t num_shards = kDefaultShards);
 
   // --- Rule configuration (exclusive over the rule set; replicated to all
-  // shards with identical ids).
+  // shards with identical ids). Every rule is checked
+  // (OakServer::check_rule) before any shard changes: a bad rule throws
+  // std::invalid_argument and leaves the rules, state and journal as they
+  // were.
   int add_rule(Rule rule);
-  void add_rules(std::vector<Rule> rules);
+  // Returns the new ids in input order.
+  std::vector<int> add_rules(std::vector<Rule> rules);
   bool remove_rule(int rule_id, double now);
+  // Make `rules` the rule set (OakServer::replace_rules on every shard; ids
+  // in `rules` are ignored). Only the change is journaled, as the
+  // kRemoveRule/kAddRule records remove_rule and add_rule would write.
+  // Returns the final id of each rule, in input order.
+  std::vector<int> replace_rules(std::vector<Rule> rules, double now);
 
   // --- Request plane (shared rule lock + one shard lock).
   http::Response handle(const http::Request& req, double now);
@@ -189,6 +200,10 @@ class ShardedOakServer {
   };
 
   std::unique_lock<std::mutex> lock_shard(Shard& s) const;
+  // Rule churn bodies; the caller holds rules_mu_ exclusively.
+  int add_rule_locked_(Rule rule);
+  void journal_add_rule_(const Rule& rule);
+  void journal_remove_rule_(int rule_id, double now);
   // Run one request against its shard's core + journal; caller holds the
   // shard lock (directly, or as the combiner).
   void execute_op(std::size_t shard_index, Shard& shard, PendingOp& op);
@@ -210,7 +225,7 @@ class ShardedOakServer {
   std::string site_host_;
   OakConfig cfg_;
   // Guards the replicated rule set (and shard topology invariants): shared
-  // for requests and reads, exclusive for add_rule/remove_rule.
+  // for requests and reads, exclusive for rule churn.
   mutable std::shared_mutex rules_mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::atomic<std::size_t> next_user_{1};

@@ -408,34 +408,38 @@ std::uint64_t TieredUserStore::append_cold_(std::string_view uid,
   return frame_scratch_.size();
 }
 
+bool TieredUserStore::find_cold_(const std::string& uid,
+                                 ColdRecord& out) const {
+  std::uint64_t off_plus1 = heads_[std::size_t(fnv1a64(uid)) & (buckets_ - 1)];
+  while (off_plus1 != 0) {
+    if (!read_record_(off_plus1 - 1, out)) throw_corrupt();
+    if (out.uid == uid) return true;
+    off_plus1 = out.prev_plus1;
+  }
+  return false;
+}
+
 UserProfile* TieredUserStore::fault_in_(const std::string& uid, double now,
                                         bool touch) {
-  const std::uint64_t h = fnv1a64(uid);
-  std::uint64_t off_plus1 = heads_[std::size_t(h) & (buckets_ - 1)];
-  while (off_plus1 != 0) {
-    ColdRecord rec;
-    if (!read_record_(off_plus1 - 1, rec)) throw_corrupt();
-    if (rec.uid == uid) {
-      // Decode before allocating: alloc may demote another user, which
-      // reuses the scratch buffers this record views into.
-      UserProfile restored;
-      if (!decode_profile(rec.blob, restored)) throw_corrupt();
-      restored.user_id = uid;
-      cold_live_bytes_ -= rec.framed_bytes;
-      --cold_count_;
-      ++stats_.faultins;
-      const std::uint32_t slot = alloc_slot_(now);
-      slots_[slot] = std::move(restored);
-      index_[uid] = slot;
-      live_[slot] = 1;
-      ref_[slot] = touch ? 1 : 0;
-      touched_[slot] = now;
-      ++hot_count_;
-      return &slots_[slot];
-    }
-    off_plus1 = rec.prev_plus1;
-  }
-  return nullptr;  // Bloom false positive: the uid was never demoted.
+  ColdRecord rec;
+  // Bloom false positive: the uid was never demoted.
+  if (!find_cold_(uid, rec)) return nullptr;
+  // Decode before allocating: alloc may demote another user, which reuses
+  // the scratch buffers this record views into.
+  UserProfile restored;
+  if (!decode_profile(rec.blob, restored)) throw_corrupt();
+  restored.user_id = uid;
+  cold_live_bytes_ -= rec.framed_bytes;
+  --cold_count_;
+  ++stats_.faultins;
+  const std::uint32_t slot = alloc_slot_(now);
+  slots_[slot] = std::move(restored);
+  index_[uid] = slot;
+  live_[slot] = 1;
+  ref_[slot] = touch ? 1 : 0;
+  touched_[slot] = now;
+  ++hot_count_;
+  return &slots_[slot];
 }
 
 bool TieredUserStore::read_record_(std::uint64_t offset,
@@ -527,44 +531,28 @@ void TieredUserStore::for_each_sorted(
   }
 }
 
-void TieredUserStore::for_each_sorted_mut(
+void TieredUserStore::for_each_of_mut(
+    const std::vector<std::string>& uids,
     const std::function<bool(UserProfile&)>& fn) {
-  struct Entry {
-    std::string_view uid;
-    std::uint64_t slot_or_off = 0;
-    bool hot = false;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(size());
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (live_[s]) entries.push_back({slots_[s].user_id, s, true});
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> cold;
-  if (tiered() && cold_count_ > 0) {
-    cold = collect_cold_();
-    for (const auto& [uid, off] : cold) entries.push_back({uid, off, false});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.uid < b.uid; });
   bool any_cold_changed = false;
-  for (const Entry& e : entries) {
-    if (e.hot) {
-      fn(slots_[std::size_t(e.slot_or_off)]);  // mutated in place
+  for (const std::string& uid : uids) {
+    if (std::uint32_t* slot = index_.find(uid)) {
+      fn(slots_[*slot]);  // mutated in place
       continue;
     }
+    if (!tiered() || cold_count_ == 0 || !bloom_.maybe(fnv1a64(uid))) continue;
     ColdRecord rec;
-    if (!read_record_(e.slot_or_off, rec)) throw_corrupt();
-    const std::uint64_t old_framed = rec.framed_bytes;
+    if (!find_cold_(uid, rec)) continue;  // Bloom false positive
     UserProfile tmp;
     if (!decode_profile(rec.blob, tmp)) throw_corrupt();
-    tmp.user_id.assign(e.uid);
+    tmp.user_id = uid;
     if (fn(tmp)) {
       // Re-serialize in place of the old record: the new version shadows it
       // via the bucket chain; the old bytes become compactable garbage.
       payload_scratch_.clear();
       encode_profile(tmp, payload_scratch_);
       append_cold_(tmp.user_id, payload_scratch_);
-      cold_live_bytes_ -= old_framed;
+      cold_live_bytes_ -= rec.framed_bytes;
       any_cold_changed = true;
     }
   }

@@ -194,10 +194,14 @@ class TieredUserStore {
   // profiles are materialized transiently, without promotion.
   void for_each_sorted(
       const std::function<void(const UserProfile&)>& fn) const;
-  // Mutating sweep in the same order (rule retirement). The callback
-  // returns whether it changed the profile; changed cold profiles are
-  // re-serialized in place of their old record.
-  void for_each_sorted_mut(const std::function<bool(UserProfile&)>& fn);
+  // Mutating visit of the named profiles only, in the order given (rule
+  // retirement passes its holders ascending, the order for_each_sorted
+  // would reach them). Hot profiles change in place; cold ones are read
+  // without promotion and, when the callback returns true, re-serialized
+  // in place of their old record. Uids the store does not hold are
+  // skipped, and no other cold record is read.
+  void for_each_of_mut(const std::vector<std::string>& uids,
+                       const std::function<bool(UserProfile&)>& fn);
 
   // Drop every profile and truncate the spill file (import_state rebuild).
   void clear();
@@ -224,6 +228,9 @@ class TieredUserStore {
   std::uint32_t evict_one_();
   void demote_slot_(std::uint32_t slot);
   UserProfile* fault_in_(const std::string& uid, double now, bool touch);
+  // Newest cold record for `uid` (its views alias read_buf_); false when
+  // the uid was never demoted.
+  bool find_cold_(const std::string& uid, ColdRecord& out) const;
   // Frames [prev][uid][blob] and appends it at file_bytes_, linking the
   // bucket chain. Returns the framed size.
   std::uint64_t append_cold_(std::string_view uid, std::string_view blob);

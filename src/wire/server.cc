@@ -979,25 +979,27 @@ http::Response Server::route(const DispatchItem& item) {
       return http::Response::text(core::format_rules(oak_.rules()));
     }
     if (m == Method::kPost || m == Method::kPut) {
-      std::vector<core::Rule> rules;
+      // Both calls check the whole file before any shard changes, so a
+      // rejected file is a 400 that leaves rules, state and journal alone.
+      std::vector<int> ids;
       try {
-        rules = core::parse_rules(w.body);
+        std::vector<core::Rule> rules = core::parse_rules(w.body);
+        ids = m == Method::kPut
+                  ? oak_.replace_rules(std::move(rules), item.admitted_at)
+                  : oak_.add_rules(std::move(rules));
       } catch (const core::RuleParseError& e) {
         return http::Response::text(e.what(), 400);
+      } catch (const std::invalid_argument& e) {
+        return http::Response::text(e.what(), 400);
       }
-      if (m == Method::kPut) {
-        for (const auto& r : oak_.rules()) {
-          oak_.remove_rule(r.id, item.admitted_at);
-        }
-      }
-      std::string ids;
-      for (auto& r : rules) {
-        if (!ids.empty()) ids += ',';
-        ids += std::to_string(oak_.add_rule(std::move(r)));
+      std::string list;
+      for (int id : ids) {
+        if (!list.empty()) list += ',';
+        list += std::to_string(id);
       }
       return http::Response::json(
           std::string("{\"") + (m == Method::kPut ? "replaced" : "added") +
-              "\":[" + ids + "]}",
+              "\":[" + list + "]}",
           201);
     }
     return method_not_allowed("GET, HEAD, POST, PUT");

@@ -9,9 +9,14 @@
 // one tick late, never early.
 //
 // Single-threaded by design: owned and driven only by the event loop.
-// Cancellation is generation-based — schedule() and cancel() bump the
-// id's generation, and stale wheel entries are dropped lazily when their
-// slot comes around, so neither operation touches the slot vectors.
+// Cancellation is generation-based — every schedule() draws a fresh
+// generation from one wheel-wide counter that never resets, and a filed
+// entry is live only while its id's current generation is the one it was
+// filed with. cancel() and firing forget the id; stale wheel entries are
+// dropped lazily when their slot comes around, so neither operation
+// touches the slot vectors. Because generations are never reused, an
+// entry left over from before a cancel or a fire can never match a later
+// re-arm of the same id.
 #pragma once
 
 #include <cmath>
@@ -34,7 +39,7 @@ class TimerWheel {
   // for the same id is invalidated.
   void schedule(std::uint64_t id, double deadline) {
     auto& st = state_[id];
-    ++st.gen;
+    st.gen = ++last_gen_;
     st.deadline = deadline;
     // File at the first tick whose visit time is >= the deadline (ceil,
     // not floor): the cursor reaches tick T once now >= T*tick_s_, so a
@@ -132,6 +137,7 @@ class TimerWheel {
   std::size_t slots_;
   std::vector<std::vector<Entry>> wheel_;
   std::unordered_map<std::uint64_t, IdState> state_;
+  std::uint64_t last_gen_ = 0;
   std::int64_t last_tick_ = std::numeric_limits<std::int64_t>::min();
 };
 

@@ -5,11 +5,18 @@
 // the sequential one, regardless of interleaving.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <filesystem>
+#include <fstream>
+#include <random>
+#include <set>
+#include <sstream>
 #include <thread>
 
 #include "core/concurrent_server.h"
+#include "core/rule_parser.h"
 #include "core/sharded_server.h"
 #include "http/cookies.h"
 
@@ -480,6 +487,367 @@ TEST_F(ShardedFixture, QueueMetricsAccountForEveryRequest) {
     // render (it does, at zero or more).
     EXPECT_LE(snap.counter("oak_ingest_backpressure_total"), kRequests);
   }
+}
+
+// --- Rule churn: holder-index retirement against a full sweep -----------
+
+// Every regular file under `dir`, by path: the journal, snapshots and spill
+// files a rejected rule change must leave byte-identical.
+std::map<std::string, std::string> dir_bytes(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (!e.is_regular_file()) continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    out[e.path().string()] = ss.str();
+  }
+  return out;
+}
+
+// What sweeping every profile for `rule_id` does to the exported users:
+// the rule leaves active, pending, next_alt, banned, race and cooldown.
+void strip_rule(util::JsonObject& users, int rule_id) {
+  const std::string key = std::to_string(rule_id);
+  auto names_rule = [&](const util::Json& j) {
+    return j.at("rule").as_int() == rule_id;
+  };
+  for (auto& [uid, u] : users) {
+    util::JsonObject& o = u.as_object();
+    util::JsonArray& active = o["active"].as_array();
+    active.erase(std::remove_if(active.begin(), active.end(), names_rule),
+                 active.end());
+    o["pending"].as_object().erase(key);
+    o["next_alt"].as_object().erase(key);
+    util::JsonArray& banned = o["banned"].as_array();
+    banned.erase(std::remove_if(banned.begin(), banned.end(),
+                                [&](const util::Json& b) {
+                                  return b.as_int() == rule_id;
+                                }),
+                 banned.end());
+    if (auto it = o.find("race"); it != o.end()) {
+      util::JsonArray& race = it->second.as_array();
+      race.erase(std::remove_if(race.begin(), race.end(), names_rule),
+                 race.end());
+      if (race.empty()) o.erase(it);
+    }
+    if (auto it = o.find("cooldown"); it != o.end()) {
+      it->second.as_object().erase(key);
+      if (it->second.as_object().empty()) o.erase(it);
+    }
+  }
+}
+
+// (id, rule-file text) of each rule, in rule-set order.
+std::vector<std::pair<int, std::string>> rule_list(
+    const std::vector<Rule>& rules) {
+  std::vector<std::pair<int, std::string>> out;
+  for (const Rule& r : rules) out.emplace_back(r.id, format_rules({r}));
+  return out;
+}
+
+class RuleChurnFixture : public ShardedFixture {
+ protected:
+  RuleChurnFixture() {
+    dir_ = (std::filesystem::path(::testing::TempDir()) /
+            ("oak_rule_churn_" +
+             std::string(::testing::UnitTest::GetInstance()
+                             ->current_test_info()
+                             ->name())))
+               .string();
+    std::filesystem::remove_all(dir_);
+    // Most users cold: 3 hot slots per shard for 40 returning users.
+    cfg_.user_store.hot_capacity = 3;
+    cfg_.user_store.spill_dir = dir_;
+    cfg_.durability.enabled = true;
+    cfg_.durability.dir = dir_ + "/journal";
+    // Deactivated rules are banned, so retirement has bans to clear.
+    cfg_.policy.allow_reactivation = false;
+  }
+  ~RuleChurnFixture() override {
+    std::error_code ec;
+    std::filesystem::remove_all(dir_, ec);
+  }
+
+  // Rules covering every kind of per-user state: active with one or two
+  // alternatives, pending (min_violations), race, cooldown, a TTL, and a
+  // tier-3 match.
+  std::vector<Rule> pool() const {
+    std::vector<Rule> p;
+    p.push_back(make_domain_rule("x0", "x0.net", {"alt.net"}));
+    p.push_back(make_domain_rule("x0-two", "x0.net", {"alt.net", "alt2.net"}));
+    Rule pending = make_domain_rule("x1", "x1.net", {"alt.net", "alt2.net"});
+    pending.min_violations = 2;
+    p.push_back(pending);
+    Rule race = make_domain_rule("x2", "x2.net", {"alt.net", "alt2.net"});
+    race.policy = "racing";
+    p.push_back(race);
+    Rule cool = make_domain_rule("x3", "x3.net", {"alt.net"});
+    cool.policy = "hysteresis";
+    p.push_back(cool);
+    Rule ttl = make_domain_rule("hidden", "hidden.cdn.net", {"alt2.net"});
+    ttl.ttl_s = 6.0;
+    p.push_back(ttl);
+    p.push_back(make_domain_rule("via-script", "agg.net", {"alt2.net"}));
+    return p;
+  }
+
+  // A report in which each host is slow with probability 1/4; alt.net and
+  // alt2.net ride along, so active alternatives get judged too.
+  std::string random_report(std::mt19937& rng) {
+    browser::PerfReport r;
+    r.page_url = site_.index_url();
+    r.plt_s = 1.0 + double(rng() % 100) / 50.0;
+    r.entries.push_back(
+        {site_.index_url(), "busy.com", "10.0.0.1", 4000, 0, 0.09});
+    for (const char* host : {"x0.net", "x1.net", "x2.net", "x3.net",
+                             "alt.net", "alt2.net", "hidden.cdn.net"}) {
+      const bool slow = rng() % 4 == 0;
+      r.entries.push_back(
+          {std::string("http://") + host + "/o.js", host, ips_[host], 9000,
+           0.1, slow ? 3.0 + double(rng() % 100) / 50.0
+                     : 0.10 + 0.01 * double(rng() % 5)});
+    }
+    r.entries.push_back({"http://agg.net/loader.js", "agg.net",
+                         ips_["agg.net"], 4000, 0.1, 0.12});
+    return r.serialize();
+  }
+
+  std::vector<Rule> random_file(std::mt19937& rng) {
+    const std::vector<Rule> p = pool();
+    std::vector<Rule> file;
+    const std::size_t n = rng() % 5;
+    for (std::size_t i = 0; i < n; ++i) file.push_back(p[rng() % p.size()]);
+    return file;
+  }
+
+  // The export a full sweep would leave after retiring `retired` (in
+  // order) at `now`: each shard's kExpire records, per rule in uid order,
+  // taken from for_each_profile, appended in shard order, as the merged
+  // log orders same-time records.
+  util::Json expect_retired(ShardedOakServer& s, const util::Json& before,
+                            const std::vector<int>& retired, double now) {
+    util::Json want = before;
+    util::JsonArray& log = want["log"].as_array();
+    for (std::size_t i = 0; i < s.shard_count(); ++i) {
+      for (int id : retired) {
+        s.shard(i).for_each_profile([&](const UserProfile& p) {
+          auto it = p.active.find(id);
+          if (it == p.active.end()) return;
+          log.push_back(decision_to_json(
+              Decision{now, p.user_id, id, DecisionType::kExpire, "", 0.0,
+                       it->second.alternative_index}));
+        });
+      }
+    }
+    for (int id : retired) strip_rule(want["users"].as_object(), id);
+    return want;
+  }
+
+  std::string dir_;
+};
+
+TEST_F(RuleChurnFixture, RandomChurnMatchesFullSweepAndSurvivesRestart) {
+  std::mt19937 rng(20261019);
+  auto server = std::make_unique<ShardedOakServer>(universe_, "busy.com",
+                                                   cfg_, 4);
+  // The expected rule set, tracked independently of the server.
+  std::vector<std::pair<int, std::string>> want_rules;
+  int next_id = 1;
+  std::size_t retirements = 0, expires = 0;
+  double now = 0.0;
+  for (int step = 0; step < 700; ++step) {
+    now += 1.0;
+    const unsigned op = rng() % 100;
+    if (op < 70) {
+      const bool fresh = rng() % 10 == 0;
+      http::Request req =
+          op < 45 ? http::Request::post("http://busy.com/oak/report",
+                                        random_report(rng))
+                  : http::Request::get(site_.index_url());
+      if (!fresh) {
+        req.headers.set("Cookie", std::string(http::kOakUserCookie) + "=r" +
+                                      std::to_string(rng() % 40));
+      }
+      ASSERT_LT(server->handle(req, now).status, 500);
+      continue;
+    }
+    if (op < 72) {
+      server->compact();
+      continue;
+    }
+    const util::Json before = server->export_state();
+    if (op < 76) {
+      // A file with one unknown strategy: rejected, nothing changes.
+      std::vector<Rule> file = random_file(rng);
+      Rule bad = make_domain_rule("bad", "x1.net", {"alt.net"});
+      bad.policy = "nosuch";
+      file.insert(file.begin() + std::ptrdiff_t(rng() % (file.size() + 1)),
+                  bad);
+      const auto bytes = dir_bytes(dir_);
+      if (rng() % 2 == 0) {
+        EXPECT_THROW(server->replace_rules(file, now), std::invalid_argument);
+      } else {
+        EXPECT_THROW(server->add_rules(file), std::invalid_argument);
+      }
+      EXPECT_EQ(server->export_state().dump(), before.dump());
+      EXPECT_EQ(rule_list(server->rules()), want_rules);
+      EXPECT_TRUE(dir_bytes(dir_) == bytes);
+      continue;
+    }
+    std::vector<int> retired;
+    if (op < 86) {
+      // PUT: pair texts as a multiset; the rest retire, in rule-set order.
+      const std::vector<Rule> file = random_file(rng);
+      std::vector<bool> paired(want_rules.size(), false);
+      std::vector<int> want_ids;
+      std::vector<std::pair<int, std::string>> added;
+      for (const Rule& r : file) {
+        const std::string text = format_rules({r});
+        std::size_t j = 0;
+        while (j < want_rules.size() &&
+               (paired[j] || want_rules[j].second != text)) {
+          ++j;
+        }
+        if (j < want_rules.size()) {
+          paired[j] = true;
+          want_ids.push_back(want_rules[j].first);
+        } else {
+          want_ids.push_back(next_id);
+          added.emplace_back(next_id++, text);
+        }
+      }
+      std::vector<std::pair<int, std::string>> kept;
+      for (std::size_t j = 0; j < want_rules.size(); ++j) {
+        if (paired[j]) {
+          kept.push_back(want_rules[j]);
+        } else {
+          retired.push_back(want_rules[j].first);
+        }
+      }
+      const util::Json want = expect_retired(*server, before, retired, now);
+      EXPECT_EQ(server->replace_rules(file, now), want_ids);
+      kept.insert(kept.end(), added.begin(), added.end());
+      want_rules = kept;
+      EXPECT_EQ(server->export_state().dump(), want.dump()) << "step " << step;
+    } else if (op < 92) {
+      // POST: append with fresh ids; no state changes.
+      const std::vector<Rule> file = random_file(rng);
+      std::vector<int> want_ids;
+      for (const Rule& r : file) {
+        want_ids.push_back(next_id);
+        want_rules.emplace_back(next_id++, format_rules({r}));
+      }
+      EXPECT_EQ(server->add_rules(file), want_ids);
+      EXPECT_EQ(server->export_state().dump(), before.dump());
+    } else {
+      // DELETE a live id, or (one time in four) one that is not there.
+      if (want_rules.empty() || rng() % 4 == 0) {
+        const auto bytes = dir_bytes(dir_);
+        EXPECT_FALSE(server->remove_rule(next_id + 7, now));
+        EXPECT_EQ(server->export_state().dump(), before.dump());
+        EXPECT_TRUE(dir_bytes(dir_) == bytes);
+        continue;
+      }
+      const std::size_t j = rng() % want_rules.size();
+      retired.push_back(want_rules[j].first);
+      const util::Json want = expect_retired(*server, before, retired, now);
+      EXPECT_TRUE(server->remove_rule(want_rules[j].first, now));
+      want_rules.erase(want_rules.begin() + std::ptrdiff_t(j));
+      EXPECT_EQ(server->export_state().dump(), want.dump()) << "step " << step;
+    }
+    EXPECT_EQ(rule_list(server->rules()), want_rules) << "step " << step;
+    retirements += retired.size();
+    expires += server->export_state().at("log").as_array().size() -
+               before.at("log").as_array().size();
+  }
+  // The walk exercised what it claims to: retirements that expired active
+  // users, most of them cold.
+  EXPECT_GT(retirements, 20u);
+  EXPECT_GT(expires, 20u);
+  EXPECT_GT(server->shard(0).user_store().cold_count(), 0u);
+
+  // A WAL restart rebuilds the same rules, state and log: first from the
+  // last snapshot plus the journal suffix, then from a fresh snapshot
+  // alone, whose import rebuilds the whole holder index.
+  const std::string final_state = server->export_state().dump();
+  server.reset();
+  for (int restart = 0; restart < 2; ++restart) {
+    server = std::make_unique<ShardedOakServer>(universe_, "busy.com", cfg_,
+                                                4);
+    EXPECT_TRUE(server->recovery_report().performed);
+    EXPECT_EQ(rule_list(server->rules()), want_rules);
+    EXPECT_EQ(server->export_state().dump(), final_state);
+    server->compact();
+    server.reset();
+  }
+  ShardedOakServer reborn(universe_, "busy.com", cfg_, 4);
+  EXPECT_EQ(reborn.recovery_report().records_replayed, 0u);
+  EXPECT_EQ(reborn.export_state().dump(), final_state);
+
+  // The imported holder index retires exactly what a full sweep would.
+  std::vector<int> all;
+  for (const auto& [id, text] : want_rules) all.push_back(id);
+  const util::Json before = reborn.export_state();
+  const util::Json want = expect_retired(reborn, before, all, now + 1.0);
+  EXPECT_TRUE(reborn.replace_rules({}, now + 1.0).empty());
+  EXPECT_EQ(reborn.export_state().dump(), want.dump());
+  EXPECT_GT(want.at("log").as_array().size(),
+            before.at("log").as_array().size());
+}
+
+// With every rule forced on, a page's alias headers name the whole rule
+// set it was served under. PUTs alternate between two sets with different
+// alias targets; a request that saw the set mid-change would carry a mix,
+// or none.
+TEST_F(ShardedFixture, ForcedRulesResponsesSeeExactlyOneRuleSet) {
+  OakConfig cfg = cfg_;
+  cfg.force_all_rules = true;
+  ShardedOakServer sharded(universe_, "busy.com", cfg, 4);
+  std::vector<Rule> sets[2];
+  for (int i = 0; i < 4; ++i) {
+    const std::string host = "x" + std::to_string(i) + ".net";
+    sets[0].push_back(make_domain_rule("a" + host, host, {"alt.net"}));
+    sets[1].push_back(make_domain_rule("b" + host, host, {"alt2.net"}));
+  }
+  auto aliases = [&](const std::string& uid) {
+    http::Request get = http::Request::get(site_.index_url());
+    get.headers.set("Cookie", std::string(http::kOakUserCookie) + "=" + uid);
+    const http::Response resp = sharded.handle(get, 0.0);
+    std::multiset<std::string> out;
+    for (const auto& [name, value] : resp.headers.entries()) {
+      if (name == http::kOakAliasHeader) out.insert(value);
+    }
+    return out;
+  };
+  std::multiset<std::string> want[2];
+  for (int k = 0; k < 2; ++k) {
+    sharded.replace_rules(sets[k], 0.0);
+    want[k] = aliases("probe");
+    ASSERT_EQ(want[k].size(), 4u);
+  }
+  ASSERT_NE(want[0], want[1]);
+
+  std::atomic<int> readers_left{4};
+  std::atomic<int> mixed{0};
+  std::thread writer([&] {
+    for (int k = 0; readers_left.load() > 0; k ^= 1) {
+      sharded.replace_rules(sets[k], 1.0);
+    }
+  });
+  std::vector<std::thread> readers;
+  for (int t = 0; t < 4; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < 300; ++i) {
+        const auto got = aliases("s" + std::to_string(t));
+        if (got != want[0] && got != want[1]) mixed.fetch_add(1);
+      }
+      readers_left.fetch_sub(1);
+    });
+  }
+  for (auto& th : readers) th.join();
+  writer.join();
+  EXPECT_EQ(mixed.load(), 0);
 }
 
 }  // namespace

@@ -145,9 +145,9 @@ TEST(UserStore, SortedVisitationCoversBothTiers) {
                                            "u44", "u5",  "u9"};
   EXPECT_EQ(visited, expect);
 
-  // Mutating sweep writes back through the cold tier: flip every client_ip,
+  // Mutating visit writes back through the cold tier: flip every client_ip,
   // then re-read via fault-in.
-  store.for_each_sorted_mut([](UserProfile& p) {
+  store.for_each_of_mut(expect, [](UserProfile& p) {
     p.client_ip = "x-" + p.user_id;
     return true;
   });
@@ -156,6 +156,35 @@ TEST(UserStore, SortedVisitationCoversBothTiers) {
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->client_ip, "x-" + uid);
   }
+}
+
+TEST(UserStore, SubsetVisitReadsOnlyNamedColdUsers) {
+  UserStoreConfig cfg;
+  cfg.hot_capacity = 2;
+  TieredUserStore store(cfg);
+  for (const char* uid : {"a", "b", "c", "d", "e", "f"}) {
+    store.get_or_create(uid, 1.0).client_ip = uid;
+  }
+  ASSERT_EQ(store.cold_count(), 4u);
+  const std::uint64_t bytes_before = store.cold_file_bytes();
+  // Named: two cold users (one changed, one not), one hot, one unknown.
+  std::vector<std::string> visited;
+  store.for_each_of_mut({"a", "b", "f", "zz"}, [&](UserProfile& p) {
+    visited.push_back(p.user_id);
+    if (p.user_id != "a") return false;
+    p.client_ip = "changed";
+    return true;
+  });
+  EXPECT_EQ(visited, (std::vector<std::string>{"a", "b", "f"}));
+  // Only the changed cold profile was re-appended, and nothing promoted.
+  EXPECT_GT(store.cold_file_bytes(), bytes_before);
+  const std::uint64_t after_one = store.cold_file_bytes();
+  store.for_each_of_mut({"b"}, [](UserProfile&) { return false; });
+  EXPECT_EQ(store.cold_file_bytes(), after_one);
+  EXPECT_EQ(store.cold_count(), 4u);
+  EXPECT_EQ(store.stats().faultins, 0u);
+  EXPECT_EQ(store.find("a", 2.0, true)->client_ip, "changed");
+  EXPECT_EQ(store.find("b", 2.0, true)->client_ip, "b");
 }
 
 TEST(UserStore, CompactionDropsGarbageAndPreservesState) {

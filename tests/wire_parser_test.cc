@@ -3,6 +3,7 @@
 // harness (bench/wire_fuzz) later gates at scale.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -106,6 +107,11 @@ struct BadCase {
   std::string wire;
   int status;
 };
+
+// gtest lists each case's parameter in the test name. Without a printer it
+// dumps the struct's raw bytes, pointers and padding included, so the names
+// changed from one build to the next.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.label; }
 
 class WireParserBad : public ::testing::TestWithParam<BadCase> {};
 

@@ -9,13 +9,17 @@
 #include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <map>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "browser/report.h"
+#include "core/rule_parser.h"
 #include "core/sharded_server.h"
 #include "page/site.h"
 #include "wire/client.h"
@@ -213,6 +217,98 @@ TEST_F(WireFixture, AdminRulesCrudRoundTrip) {
   auto bad_rules = cli.request("POST", "/admin/rules", {}, "rule ??? {\n");
   ASSERT_TRUE(bad_rules.has_value());
   EXPECT_EQ(bad_rules->status, 400);
+}
+
+// Every regular file under `dir`, by path.
+std::map<std::string, std::string> dir_bytes(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (!e.is_regular_file()) continue;
+    std::ifstream in(e.path(), std::ios::binary);
+    std::ostringstream ss;
+    ss << in.rdbuf();
+    out[e.path().string()] = ss.str();
+  }
+  return out;
+}
+
+// A rule file is checked whole before anything changes: a second rule
+// naming an unknown strategy makes PUT and POST alike a 400 that leaves
+// the rules, the exported state and the journal byte-identical.
+TEST_F(WireFixture, AdminRuleFileWithUnknownPolicyIs400AndChangesNothing) {
+  const std::string dir = ::testing::TempDir() + "/oak_wire_bad_rules_test";
+  std::filesystem::remove_all(dir);
+  OakConfig oc;
+  oc.durability.enabled = true;
+  oc.durability.dir = dir;
+  boot({}, oc);
+  BlockingClient cli = client();
+  auto added = cli.request("POST", "/admin/rules", {},
+                           "rule \"shed-x0\" {\n  type: 2\n"
+                           "  default: \"x0.net\"\n  alt: \"alt.net\"\n}\n");
+  ASSERT_TRUE(added.has_value());
+  ASSERT_EQ(added->status, 201) << added->body;
+  auto report =
+      cli.request("POST", "/oak/report", {{"Host", "busy.com"}}, report_wire());
+  ASSERT_TRUE(report.has_value());
+  ASSERT_EQ(report->status, 204);
+
+  const std::string bad_file =
+      "rule \"a\" {\n  type: 2\n  default: \"x1.net\"\n  alt: \"alt.net\"\n}\n"
+      "rule \"b\" {\n  type: 2\n  default: \"x2.net\"\n  alt: \"alt.net\"\n"
+      "  policy: \"nosuch\"\n}\n";
+  const std::string rules_before = core::format_rules(oak_->rules());
+  const int id_before = oak_->rules().at(0).id;
+  const std::string state_before = oak_->export_state().dump();
+  const auto journal_before = dir_bytes(dir);
+  for (const char* method : {"PUT", "POST"}) {
+    auto resp = cli.request(method, "/admin/rules", {}, bad_file);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->status, 400) << method << ": " << resp->body;
+    EXPECT_NE(resp->body.find("nosuch"), std::string::npos) << resp->body;
+    ASSERT_EQ(oak_->rules().size(), 1u);
+    EXPECT_EQ(oak_->rules()[0].id, id_before);
+    EXPECT_EQ(core::format_rules(oak_->rules()), rules_before);
+    EXPECT_EQ(oak_->export_state().dump(), state_before);
+    EXPECT_TRUE(dir_bytes(dir) == journal_before) << method;
+  }
+  srv_.reset();
+  oak_.reset();
+  std::filesystem::remove_all(dir);
+}
+
+// PUT is a diff: an unchanged rule keeps its id, and the answer lists the
+// final id of every rule in the file, in file order.
+TEST_F(WireFixture, AdminRulesPutKeepsUnchangedRules) {
+  boot();
+  BlockingClient cli = client();
+  const std::string x0 =
+      "rule \"shed-x0\" {\n  type: 2\n  default: \"x0.net\"\n"
+      "  alt: \"alt.net\"\n}\n";
+  const std::string x1 =
+      "rule \"shed-x1\" {\n  type: 2\n  default: \"x1.net\"\n"
+      "  alt: \"alt.net\"\n}\n";
+  auto first = cli.request("PUT", "/admin/rules", {}, x0);
+  ASSERT_TRUE(first.has_value());
+  ASSERT_EQ(first->status, 201) << first->body;
+  const int id0 = oak_->rules().at(0).id;
+  EXPECT_EQ(first->body, "{\"replaced\":[" + std::to_string(id0) + "]}");
+
+  auto grown = cli.request("PUT", "/admin/rules", {}, x1 + x0);
+  ASSERT_TRUE(grown.has_value());
+  ASSERT_EQ(grown->status, 201) << grown->body;
+  ASSERT_EQ(oak_->rules().size(), 2u);
+  EXPECT_EQ(oak_->rules()[0].id, id0);  // kept rules first, then added
+  const int id1 = oak_->rules()[1].id;
+  EXPECT_NE(id1, id0);
+  EXPECT_EQ(grown->body, "{\"replaced\":[" + std::to_string(id1) + "," +
+                             std::to_string(id0) + "]}");
+
+  auto shrunk = cli.request("PUT", "/admin/rules", {}, x1);
+  ASSERT_TRUE(shrunk.has_value());
+  EXPECT_EQ(shrunk->body, "{\"replaced\":[" + std::to_string(id1) + "]}");
+  ASSERT_EQ(oak_->rules().size(), 1u);
+  EXPECT_EQ(oak_->rules()[0].id, id1);
 }
 
 TEST_F(WireFixture, AdminHealthReportsDrainState) {

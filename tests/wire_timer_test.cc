@@ -108,6 +108,49 @@ TEST(TimerWheel, WrappedEntrySurvivesSparseAdvances) {
   EXPECT_GE(fired_at, 5.0);
 }
 
+TEST(TimerWheel, CancelThenRearmIgnoresTheCancelledEntry) {
+  // A cancel forgets the id; the 5 s entry it left in the wheel must not
+  // match the id's next schedule(). Driven at the loop's tick cadence.
+  TimerWheel w(0.05);
+  w.schedule(7, 5.0);
+  w.cancel(7);
+  w.schedule(7, 35.0);
+  std::vector<double> fired_at;
+  for (int i = 0; i <= 702; ++i) {
+    const double t = i * 0.05;
+    for (std::uint64_t id : fire(w, t)) {
+      EXPECT_EQ(id, 7u);
+      fired_at.push_back(t);
+    }
+  }
+  ASSERT_EQ(fired_at.size(), 1u);
+  EXPECT_GE(fired_at[0], 35.0);
+  EXPECT_EQ(w.armed_count(), 0u);
+}
+
+TEST(TimerWheel, RearmFromCallbackIgnoresSupersededEntry) {
+  // 6 s is superseded by 5 s; when 5 s fires, its callback re-arms the
+  // same id to 60 s. Firing forgets the id, and the superseded 6 s entry
+  // is still filed: it must not match the re-arm.
+  TimerWheel w(0.05);
+  w.schedule(7, 6.0);
+  w.schedule(7, 5.0);
+  std::vector<double> fired_at;
+  for (int i = 0; i <= 1202; ++i) {
+    const double t = i * 0.05;
+    w.advance(t, [&](std::uint64_t id) {
+      EXPECT_EQ(id, 7u);
+      fired_at.push_back(t);
+      if (fired_at.size() == 1) w.schedule(7, 60.0);
+    });
+  }
+  ASSERT_EQ(fired_at.size(), 2u);
+  EXPECT_GE(fired_at[0], 5.0);
+  EXPECT_LT(fired_at[0], 6.0);
+  EXPECT_GE(fired_at[1], 60.0);
+  EXPECT_EQ(w.armed_count(), 0u);
+}
+
 TEST(TimerWheel, RearmChurnLeavesNoStaleSlotEntries) {
   // The wire front-end's idle↔header dance: every keep-alive request
   // cancels one deadline and arms another. Stale entries are dropped
