@@ -8,19 +8,17 @@
 // match (the worst case for an unmemoized matcher).
 //
 // Configurations:
-//   single-mutex-nocache   ConcurrentOakServer, match cache disabled — the
+//   single-mutex-nocache   ShardedOakServer with one shard (one mutex over
+//                          all state) and the match cache disabled — the
 //                          pre-sharding seed behavior, the legacy baseline
 //                          (run at the top thread count only).
-//   sharded-{1,4,8,16}     ShardedOakServer with the per-shard match cache
-//                          and the batched ingest queue, swept over
-//                          {1,2,4,8} client threads (the matrix).
-//   sharded-8-direct       queue disabled (one lock acquisition per
-//                          request) at the top thread count — isolates what
-//                          batching buys.
+//   sharded-{1,4,8,16}     ShardedOakServer with the per-shard match cache,
+//                          swept over {1,2,4,8} client threads (the
+//                          matrix).
 //
 // Every cell is best-of-REPS wall time. Emits BENCH_concurrency.json with
-// the matrix, the merged obs snapshot of the acceptance configuration
-// (including oak_ingest_queue_* health), and three acceptance gates:
+// the matrix, the merged obs snapshot of the acceptance configuration, and
+// three acceptance gates:
 //
 //   legacy      sharded-8 >= 3x the single-mutex baseline (top threads);
 //   multicore   sharded-8 >= 3x sharded-1 at 8 threads — enforced only
@@ -37,7 +35,6 @@
 #include <thread>
 #include <vector>
 
-#include "core/concurrent_server.h"
 #include "core/sharded_server.h"
 #include "http/cookies.h"
 #include "util/rng.h"
@@ -148,26 +145,19 @@ struct Workload {
 
 struct RunResult {
   std::string config;
-  std::size_t shards = 0;  // 0 = single-mutex baseline
+  std::size_t shards = 0;
   int threads = 0;
   double seconds = 0.0;
   double reports_per_sec = 0.0;
   double memo_hit_rate = 0.0;
   double script_hit_rate = 0.0;
   std::uint64_t contentions = 0;
-  std::uint64_t enqueued = 0;
-  std::uint64_t batches = 0;
-  std::uint64_t backpressure = 0;
-
-  double mean_batch() const {
-    return batches == 0 ? 0.0 : double(enqueued) / double(batches);
-  }
 };
 
 // Drive `threads` client threads, each POSTing `reports` reports under its
-// own user id, against any server exposing handle(). Returns wall seconds.
-template <typename ServerT>
-double drive(ServerT& server, const Workload& w, int threads, int reports) {
+// own user id. Returns wall seconds.
+double drive(core::ShardedOakServer& server, const Workload& w, int threads,
+             int reports) {
   std::vector<std::thread> pool;
   const auto start = std::chrono::steady_clock::now();
   for (int t = 0; t < threads; ++t) {
@@ -199,64 +189,36 @@ double drive(ServerT& server, const Workload& w, int threads, int reports) {
 // caches instead of one).
 constexpr int kWarmup = 100;
 
-RunResult run_baseline(int threads, int reports) {
+// One matrix cell, best of kReps. `cache` = false is the seed's matcher (no
+// memoization); its cells are ~20x slower per report, so they warm up with
+// fewer reports — there is no cache to warm, only profiles and activations.
+RunResult run_cell(std::string config, std::size_t shards, bool cache,
+                   int threads, int reports,
+                   util::Json* metrics_out = nullptr) {
   RunResult best;
   for (int rep = 0; rep < kReps; ++rep) {
     Workload w;
     core::OakConfig cfg;
-    cfg.matcher.enable_cache = false;  // the seed's matcher: no memoization
-    core::ConcurrentOakServer server(w.universe, "busy.com", cfg);
-    for (auto& r : build_rules()) server.add_rule(std::move(r));
-    RunResult res;
-    res.config = "single-mutex-nocache";
-    res.threads = threads;
-    // No cache to warm, but keep the phases symmetric with the sharded runs
-    // (profiles exist, rules activated) so the timed windows compare alike.
-    drive(server, w, threads, std::min(kWarmup, 10));
-    res.seconds = drive(server, w, threads, reports);
-    res.reports_per_sec = double(threads) * reports / res.seconds;
-    if (rep == 0 || res.reports_per_sec > best.reports_per_sec) best = res;
-  }
-  return best;
-}
-
-std::uint64_t counter_or_zero(const obs::MetricsSnapshot& snap,
-                              const std::string& name) {
-  auto it = snap.counters.find(name);
-  return it == snap.counters.end() ? 0 : it->second;
-}
-
-RunResult run_sharded(std::size_t shards, int threads, int reports,
-                      bool queue_enabled, util::Json* metrics_out = nullptr) {
-  RunResult best;
-  for (int rep = 0; rep < kReps; ++rep) {
-    Workload w;
-    core::OakConfig cfg;
-    cfg.ingest_queue.enabled = queue_enabled;
+    cfg.matcher.enable_cache = cache;
     core::ShardedOakServer server(w.universe, "busy.com", cfg, shards);
     server.add_rules(build_rules());
     RunResult res;
-    res.config = "sharded-" + std::to_string(shards) +
-                 (queue_enabled ? "" : "-direct");
+    res.config = config;
     res.shards = shards;
     res.threads = threads;
-    drive(server, w, threads, kWarmup);  // warm per-shard memos, untimed
+    drive(server, w, threads, cache ? kWarmup : 10);  // untimed
     res.seconds = drive(server, w, threads, reports);
     res.reports_per_sec = double(threads) * reports / res.seconds;
-    const core::MatchCacheStats cache = server.match_cache_stats();
-    res.memo_hit_rate = cache.memo_hit_rate();
-    res.script_hit_rate = cache.script_hit_rate();
+    const core::MatchCacheStats stats = server.match_cache_stats();
+    res.memo_hit_rate = stats.memo_hit_rate();
+    res.script_hit_rate = stats.script_hit_rate();
     res.contentions = server.shard_stats().contentions;
-    const obs::MetricsSnapshot snap = server.metrics_snapshot();
-    res.enqueued = counter_or_zero(snap, "oak_ingest_enqueued_total");
-    res.batches = counter_or_zero(snap, "oak_ingest_batches_total");
-    res.backpressure = counter_or_zero(snap, "oak_ingest_backpressure_total");
     const bool better =
         rep == 0 || res.reports_per_sec > best.reports_per_sec;
     if (better) {
       best = res;
-      // Merged per-shard obs snapshot: stage latency histograms plus the
-      // ingest-queue health counters for exactly the traffic this run timed.
+      // Merged per-shard obs snapshot: stage latency histograms for exactly
+      // the traffic this run timed.
       if (metrics_out != nullptr) *metrics_out = server.metrics_json();
     }
   }
@@ -275,19 +237,14 @@ util::Json run_to_json(const RunResult& r, int reports, double rel_to) {
   o["memo_hit_rate"] = r.memo_hit_rate;
   o["script_cache_hit_rate"] = r.script_hit_rate;
   o["shard_contentions"] = r.contentions;
-  o["queue_enqueued"] = r.enqueued;
-  o["queue_batches"] = r.batches;
-  o["queue_mean_batch"] = r.mean_batch();
-  o["queue_backpressure"] = r.backpressure;
   return util::Json(std::move(o));
 }
 
 void print_run(const RunResult& r) {
-  std::printf("%-18s %3dT %10.3f %12.0f %9.1f%% %11.1f %12llu %12llu\n",
+  std::printf("%-20s %3dT %10.3f %12.0f %9.1f%% %12llu\n",
               r.config.c_str(), r.threads, r.seconds, r.reports_per_sec,
-              100.0 * r.memo_hit_rate, r.mean_batch(),
-              static_cast<unsigned long long>(r.contentions),
-              static_cast<unsigned long long>(r.backpressure));
+              100.0 * r.memo_hit_rate,
+              static_cast<unsigned long long>(r.contentions));
 }
 
 }  // namespace
@@ -306,12 +263,12 @@ int main(int argc, char** argv) {
               "filler), best of %d, %u core(s)\n\n",
               reports, 4 + kFillerRules, kFillerRules, kFillerBytes / 1024,
               kReps, cores);
-  std::printf("%-18s %4s %10s %12s %10s %11s %12s %12s\n", "config", "thr",
-              "seconds", "reports/s", "memo-hit", "mean-batch", "contentions",
-              "backpressure");
+  std::printf("%-20s %4s %10s %12s %10s %12s\n", "config", "thr",
+              "seconds", "reports/s", "memo-hit", "contentions");
 
   // Legacy baseline (top thread count only; it is ~20x slower per report).
-  const RunResult baseline = run_baseline(max_threads, reports);
+  const RunResult baseline = run_cell("single-mutex-nocache", 1,
+                                      /*cache=*/false, max_threads, reports);
   print_run(baseline);
 
   // The matrix. rps[threads][shards] drives the gates below.
@@ -322,8 +279,9 @@ int main(int argc, char** argv) {
   for (int threads : thread_counts) {
     for (std::size_t shards : shard_counts) {
       const bool acceptance_cell = threads == max_threads && shards == 8;
-      RunResult r = run_sharded(shards, threads, reports, /*queue=*/true,
-                                acceptance_cell ? &stage_metrics : nullptr);
+      RunResult r = run_cell("sharded-" + std::to_string(shards), shards,
+                             /*cache=*/true, threads, reports,
+                             acceptance_cell ? &stage_metrics : nullptr);
       print_run(r);
       if (shards == 1) sharded1_at[threads] = r.reports_per_sec;
       if (shards == 8 && threads == 8) sharded8_at8 = r.reports_per_sec;
@@ -333,11 +291,6 @@ int main(int argc, char** argv) {
       matrix.push_back(std::move(r));
     }
   }
-
-  // Queue-off comparison: what batching buys at the contended corner.
-  const RunResult direct =
-      run_sharded(8, max_threads, reports, /*queue=*/false);
-  print_run(direct);
 
   // --- Gates.
   const double legacy_speedup = sharded8_at_max / baseline.reports_per_sec;
@@ -369,22 +322,12 @@ int main(int argc, char** argv) {
   for (const RunResult& r : matrix) {
     out_runs.push_back(run_to_json(r, reports, baseline.reports_per_sec));
   }
-  out_runs.push_back(run_to_json(direct, reports, baseline.reports_per_sec));
 
   util::JsonObject root;
   root["bench"] = std::string("load_concurrent");
   root["hardware_concurrency"] = static_cast<std::size_t>(cores);
   root["reports_per_thread"] = reports;
   root["reps_best_of"] = static_cast<std::size_t>(kReps);
-  {
-    core::OakConfig defaults;
-    util::JsonObject q;
-    q["enabled"] = defaults.ingest_queue.enabled;
-    q["depth"] = defaults.ingest_queue.depth;
-    q["max_batch"] = defaults.ingest_queue.max_batch;
-    q["handoff_after"] = defaults.ingest_queue.handoff_after;
-    root["queue"] = std::move(q);
-  }
   root["runs"] = std::move(out_runs);
   root["metrics"] = std::move(stage_metrics);
 

@@ -14,7 +14,7 @@
 //   server-*    full ingest_report through ShardedOakServer::handle at 1
 //               and 8 shards, single client thread, empty rule set — the
 //               decode + grouping + detection pipeline without matcher
-//               noise, in both IngestDecode modes.
+//               noise. The server always stream-decodes.
 //
 // Reports come in two mixes: small (~8 entries, the common page) and large
 // (~120 entries, media-heavy pages), over a handful of servers so the
@@ -119,12 +119,10 @@ RunResult time_decode(const std::string& config, const Corpus& corpus,
 
 RunResult run_server(const std::string& config, const Corpus& corpus,
                      int passes, std::size_t shards,
-                     core::IngestDecode decode,
                      util::Json* metrics_out = nullptr,
                      const std::string& journal_dir = "") {
   page::WebUniverse universe{net::NetworkConfig{.seed = 7, .horizon_s = 0}};
   core::OakConfig cfg;
-  cfg.ingest_decode = decode;
   if (!journal_dir.empty()) {
     // Fresh journal directory per run: recovery/compaction state from a
     // previous repetition must not shift what this one measures.
@@ -209,18 +207,15 @@ int main(int argc, char** argv) {
         }));
   }
 
-  // Server-level ingest (decode + grouping + detection), both decoders, at
-  // 1 and 8 shards. Fewer passes: each report runs the whole pipeline.
+  // Server-level ingest (decode + grouping + detection) at 1 and 8 shards.
+  // Fewer passes: each report runs the whole pipeline.
   const int server_passes = std::max(1, passes / 10);
   util::Json stage_metrics;
   for (std::size_t shards : {std::size_t(1), std::size_t(8)}) {
-    const std::string tag = "-s" + std::to_string(shards);
-    runs.push_back(run_server("server-dom" + tag, mixed, server_passes, shards,
-                              core::IngestDecode::kDom));
-    // The 8-shard streaming run also contributes its obs exposition: stage
-    // histograms for the exact traffic the throughput number describes.
-    runs.push_back(run_server("server-stream" + tag, mixed, server_passes,
-                              shards, core::IngestDecode::kStreaming,
+    // The 8-shard run also contributes its obs exposition: stage histograms
+    // for the exact traffic the throughput number describes.
+    runs.push_back(run_server("server-stream-s" + std::to_string(shards),
+                              mixed, server_passes, shards,
                               shards == 8 ? &stage_metrics : nullptr));
   }
 
@@ -236,12 +231,10 @@ int main(int argc, char** argv) {
   RunResult journal_run;
   for (int rep = 0; rep < kOverheadRuns; ++rep) {
     journal_off_s = std::min(
-        journal_off_s, run_server("server-stream-s8", mixed, server_passes, 8,
-                                  core::IngestDecode::kStreaming)
-                           .seconds);
+        journal_off_s,
+        run_server("server-stream-s8", mixed, server_passes, 8).seconds);
     RunResult on = run_server("server-stream-s8-journal", mixed, server_passes,
-                              8, core::IngestDecode::kStreaming, nullptr,
-                              journal_dir);
+                              8, nullptr, journal_dir);
     if (on.seconds < journal_on_s) {
       journal_on_s = on.seconds;
       journal_run = on;

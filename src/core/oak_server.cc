@@ -331,9 +331,10 @@ http::Response OakServer::ingest_report(const http::Request& req, double now) {
   if (!cfg_.policy.applies_to(req.client_ip)) {
     return resp;  // accepted, ignored
   }
-  // Decode per cfg_.ingest_decode. The view aliases req.body plus the
-  // ingest arena; both outlive process_report(), which copies anything it
-  // retains (violator IPs/domains, decision-log entries) into owned strings.
+  // Stream-decode straight off the wire bytes. The view aliases req.body
+  // plus the ingest arena; both outlive process_report(), which copies
+  // anything it retains (violator IPs/domains, decision-log entries) into
+  // owned strings.
   ingest_arena_.clear();
   if (obs_.report_bytes != nullptr) {
     obs_.report_bytes->observe(static_cast<double>(req.body.size()));
@@ -343,50 +344,11 @@ http::Response OakServer::ingest_report(const http::Request& req, double now) {
   // arena's blocks) survives across reports. The views it holds dangle as
   // soon as this request ends — nothing reads it between ingests.
   browser::ReportView& view = view_scratch_;
-  browser::PerfReport dom_report;  // backs `view` in the DOM modes
-  switch (cfg_.ingest_decode) {
-    case IngestDecode::kStreaming:
-      try {
-        browser::decode_report_view(req.body, ingest_arena_, view);
-      } catch (const util::JsonError&) {
-        if (obs_.reports_rejected != nullptr) obs_.reports_rejected->inc();
-        return http::Response::text("malformed report", 400);
-      }
-      break;
-    case IngestDecode::kDom:
-      try {
-        dom_report = browser::PerfReport::deserialize(req.body);
-      } catch (const util::JsonError&) {
-        if (obs_.reports_rejected != nullptr) obs_.reports_rejected->inc();
-        return http::Response::text("malformed report", 400);
-      }
-      view = browser::ReportView::of(dom_report);
-      break;
-    case IngestDecode::kDifferential: {
-      bool stream_ok = true;
-      bool dom_ok = true;
-      try {
-        browser::decode_report_view(req.body, ingest_arena_, view);
-      } catch (const util::JsonError&) {
-        stream_ok = false;
-      }
-      try {
-        dom_report = browser::PerfReport::deserialize(req.body);
-      } catch (const util::JsonError&) {
-        dom_ok = false;
-      }
-      if (stream_ok != dom_ok ||
-          (stream_ok &&
-           view.materialize().serialize() != dom_report.serialize())) {
-        throw std::logic_error(
-            "ingest decoder divergence: streaming vs DOM disagree on report");
-      }
-      if (!stream_ok) {
-        if (obs_.reports_rejected != nullptr) obs_.reports_rejected->inc();
-        return http::Response::text("malformed report", 400);
-      }
-      break;
-    }
+  try {
+    browser::decode_report_view(req.body, ingest_arena_, view);
+  } catch (const util::JsonError&) {
+    if (obs_.reports_rejected != nullptr) obs_.reports_rejected->inc();
+    return http::Response::text("malformed report", 400);
   }
   decode_timer.stop();
   process_report(user, view, now, nullptr);

@@ -45,41 +45,11 @@ namespace oak::core {
 // HistoryMode (what to do when an activated alternative itself becomes a
 // violator) lives in core/policy.h with the rest of the policy vocabulary.
 
-// How ingest_report() turns wire bytes into a report.
-//   kStreaming     zero-copy SAX decode into the ingest arena (fast path);
-//   kDom           legacy Json-DOM decode (PerfReport::deserialize);
-//   kDifferential  run both, demand bit-identical reports and identical
-//                  accept/reject verdicts — the CI oracle. Divergence is a
-//                  decoder bug, reported by throwing std::logic_error.
-enum class IngestDecode { kStreaming, kDom, kDifferential };
-
-// Batched hand-off between request threads and a shard's single-threaded
-// core (ShardedOakServer; the single-threaded OakServer ignores this).
-// Instead of every thread fighting for the shard mutex per request, requests
-// park in a small per-shard queue and one thread — the combiner — drains
-// them in batches while holding the shard lock once per batch. See
-// DESIGN.md §6.
-struct IngestQueueConfig {
-  bool enabled = true;
-  // Pending (unclaimed) ops per shard before producers block — the
-  // back-pressure bound. Memory is not the concern (ops live on producer
-  // stacks); this bounds batch latency and combiner turn length.
-  std::size_t depth = 128;
-  // Ops executed per shard-lock acquisition. The amortization unit: one
-  // lock + one batch of reports.
-  std::size_t max_batch = 32;
-  // A combiner whose own request is done hands the role off after this many
-  // ops in one turn, so sustained load rotates the combining work across
-  // threads instead of pinning it on whoever arrived first.
-  std::size_t handoff_after = 256;
-};
-
 struct OakConfig {
   DetectorConfig detector;
   MatcherConfig matcher;
   Policy policy;
   HistoryMode history = HistoryMode::kMinDistance;
-  IngestDecode ingest_decode = IngestDecode::kStreaming;
   std::string report_path = "/oak/report";
   // Master switch: when false Oak serves default pages and ignores reports
   // (the paper's baseline condition).
@@ -89,17 +59,13 @@ struct OakConfig {
   bool force_all_rules = false;
   // Runtime switch for the oak::obs instrumentation. When false the stage
   // timers never read the clock and no counters are touched; the registry
-  // still exists (snapshots are simply empty). Compile-time removal is
-  // -DOAK_OBS_DISABLED (see src/obs/metrics.h).
+  // still exists (snapshots are simply empty).
   bool metrics = true;
   // Crash-consistent persistence (core/durability.h): per-shard write-ahead
   // journal + periodic snapshot, honoured by ShardedOakServer (the
   // single-threaded OakServer ignores it; durability is a property of the
   // concurrent entry point). Off by default.
   durability::Options durability;
-  // Batched MPSC hand-off for the sharded request plane (ShardedOakServer
-  // only).
-  IngestQueueConfig ingest_queue;
   // Tiered user-state store (core/user_store.h): hot_capacity bounds the
   // in-memory profiles per shard; everyone else lives in the cold spill
   // file and faults back in on their next request. Default (hot_capacity

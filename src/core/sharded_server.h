@@ -1,15 +1,15 @@
 // Sharded, thread-safe front for Oak — the concurrent entry point.
 //
-// ConcurrentOakServer (core/concurrent_server.h) funnels every page serve
-// and report POST through one global mutex, so adding cores buys nothing.
-// But Oak's mutable state is almost perfectly partitionable: every request
-// touches exactly one user profile (identified by the oak_uid cookie), and
-// the §4.2.3/§4.2.4 machinery never reads across users. ShardedOakServer
-// exploits that:
+// OakServer is a single-threaded state machine, but its mutable state is
+// almost perfectly partitionable: every request touches exactly one user
+// profile (identified by the oak_uid cookie), and the §4.2.3/§4.2.4
+// machinery never reads across users. ShardedOakServer exploits that:
 //
 //  * N lock shards, each a full single-threaded OakServer owning the
 //    profiles whose user-id hash lands on it (plus that shard's DecisionLog
-//    and memoized Matcher). A request locks only its shard.
+//    and memoized Matcher). A request takes its shard's mutex directly and
+//    runs to completion under it; with one shard this is the plain
+//    single-mutex server.
 //  * The rule set is read-mostly configuration. Each rule change (one add,
 //    one remove, a whole POSTed file or a whole PUT replacement) is one
 //    exclusive section of a std::shared_mutex that replicates the change to
@@ -35,7 +35,6 @@
 #pragma once
 
 #include <atomic>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -134,14 +133,6 @@ class ShardedOakServer {
   };
   ShardStats shard_stats() const;
 
-  // --- Backpressure signal (wire front-end admission control).
-  // Fraction [0, 1] of the fullest shard's ingest queue: 0.0 idle, 1.0 when
-  // some shard's unclaimed queue has reached its depth bound and producers
-  // are about to block. Lock-free; always 0 when the queue is disabled.
-  double ingest_pressure() const;
-  // Unclaimed queued ops summed across shards (diagnostics/metrics).
-  std::size_t ingest_queue_pending() const;
-
   // Escape hatch for single-threaded phases (setup, assertions in tests).
   // Callers must guarantee no concurrent handle() calls while using it.
   OakServer& shard(std::size_t i) { return *shards_[i]->server; }
@@ -156,47 +147,11 @@ class ShardedOakServer {
   }
 
  private:
-  // One queued request, living on its producer's stack until done. The
-  // combiner fills `resp` while holding the shard lock; `done` flips (and
-  // the producer wakes) only under the queue mutex, so the producer reads a
-  // fully published response.
-  struct PendingOp {
-    const http::Request* req = nullptr;  // effective request (cookie attached)
-    double now = 0.0;
-    const std::string* uid = nullptr;
-    bool fresh = false;
-    std::uint64_t minted = 0;
-    http::Response resp;
-    bool done = false;
-  };
-
   struct Shard {
     mutable std::mutex mu;
     std::unique_ptr<OakServer> server;
     std::atomic<std::uint64_t> handled{0};
     std::atomic<std::uint64_t> contended{0};
-
-    // --- Batched ingest hand-off (flat combining; DESIGN.md §6).
-    // qmu is a leaf lock: never held together with mu or rules_mu_ — the
-    // combiner claims a batch under qmu, releases it, takes mu to execute,
-    // releases mu, then retakes qmu to publish completions.
-    std::mutex qmu;
-    std::condition_variable qcv;
-    std::vector<PendingOp*> queue;  // unclaimed ops, enqueue order
-    bool combiner_active = false;
-    // Mirrors queue.size(), updated under qmu but readable lock-free: the
-    // wire front-end polls it per request for admission control and must
-    // never touch qmu on that path.
-    std::atomic<std::size_t> q_pending{0};
-
-    // Queue health instruments (registered in this shard's server registry
-    // so metrics_snapshot() merges them fleet-wide). Null when metrics or
-    // the queue are disabled.
-    obs::Gauge* q_depth = nullptr;
-    obs::Histogram* q_batch_size = nullptr;
-    obs::Counter* q_enqueued = nullptr;
-    obs::Counter* q_batches = nullptr;
-    obs::Counter* q_backpressure = nullptr;
   };
 
   std::unique_lock<std::mutex> lock_shard(Shard& s) const;
@@ -204,15 +159,6 @@ class ShardedOakServer {
   int add_rule_locked_(Rule rule);
   void journal_add_rule_(const Rule& rule);
   void journal_remove_rule_(int rule_id, double now);
-  // Run one request against its shard's core + journal; caller holds the
-  // shard lock (directly, or as the combiner).
-  void execute_op(std::size_t shard_index, Shard& shard, PendingOp& op);
-  // Combiner loop: drain `shard.queue` in batches of at most
-  // cfg_.ingest_queue.max_batch, one shard-lock acquisition per batch.
-  // Entered and exited with `ql` (shard.qmu) held and combiner_active true;
-  // resets combiner_active before returning. Guarantees own.done on return.
-  void combine(std::size_t shard_index, Shard& shard,
-               std::unique_lock<std::mutex>& ql, PendingOp& own);
   // Recovery at construction: startup() → rules + state import → parallel
   // per-shard replay → start_recording() (+ baseline compact on bootstrap).
   void enable_durability_();

@@ -30,10 +30,6 @@ Histogram::Histogram(HistogramSpec spec)
 }
 
 void Histogram::observe(double v) {
-  if constexpr (!kEnabled) {
-    (void)v;
-    return;
-  }
   if (std::isnan(v)) return;  // a NaN sample poisons sum and orders nowhere
   // First bucket whose upper bound admits v; past the last finite bound the
   // sample lands in the +Inf overflow slot.

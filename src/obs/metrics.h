@@ -23,12 +23,11 @@
 // Prometheus-style text exposition and a JSON exposition (reused by the
 // BENCH_* emitters so bench output carries per-stage latency distributions).
 //
-// Disabled mode: compiling with -DOAK_OBS_DISABLED (CMake: -DOAK_OBS=OFF)
-// turns every record operation — increments, observations, and the timer's
-// clock reads — into nothing, while keeping the registry/snapshot API intact
-// so instrumented call sites need no #ifdefs. The enabled mode is itself
-// cheap enough to stay within benchmark noise (see bench/micro_core's
-// BM_IngestObs* pair and tests/obs_overhead_test.cc).
+// The one off-switch is OakConfig::metrics at runtime: a server built with
+// it false registers no instruments, so every call site holds a null pointer
+// and records nothing. Leaving it on is cheap enough to stay within
+// benchmark noise (see bench/micro_core's BM_IngestObs* pair and
+// tests/obs_overhead_test.cc).
 #pragma once
 
 #include <atomic>
@@ -44,16 +43,10 @@
 
 namespace oak::obs {
 
-#if defined(OAK_OBS_DISABLED)
-inline constexpr bool kEnabled = false;
-#else
-inline constexpr bool kEnabled = true;
-#endif
-
 class Counter {
  public:
   void inc(std::uint64_t n = 1) {
-    if constexpr (kEnabled) v_.fetch_add(n, std::memory_order_relaxed);
+    v_.fetch_add(n, std::memory_order_relaxed);
   }
   std::uint64_t value() const { return v_.load(std::memory_order_relaxed); }
 
@@ -64,14 +57,12 @@ class Counter {
 class Gauge {
  public:
   void set(double v) {
-    if constexpr (kEnabled) v_.store(v, std::memory_order_relaxed);
+    v_.store(v, std::memory_order_relaxed);
   }
   void add(double delta) {
-    if constexpr (kEnabled) {
-      double cur = v_.load(std::memory_order_relaxed);
-      while (!v_.compare_exchange_weak(cur, cur + delta,
-                                       std::memory_order_relaxed)) {
-      }
+    double cur = v_.load(std::memory_order_relaxed);
+    while (!v_.compare_exchange_weak(cur, cur + delta,
+                                     std::memory_order_relaxed)) {
     }
   }
   double value() const { return v_.load(std::memory_order_relaxed); }
@@ -173,14 +164,11 @@ class MetricsRegistry {
 };
 
 // Times a scope into a histogram. A null histogram (instrumentation off at
-// runtime) skips the clock reads entirely; OAK_OBS_DISABLED compiles the
-// whole thing away.
+// runtime) skips the clock reads entirely.
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram* h) : h_(h) {
-    if constexpr (kEnabled) {
-      if (h_ != nullptr) start_ = std::chrono::steady_clock::now();
-    }
+    if (h_ != nullptr) start_ = std::chrono::steady_clock::now();
   }
   ~ScopedTimer() { stop(); }
   ScopedTimer(const ScopedTimer&) = delete;
@@ -188,12 +176,10 @@ class ScopedTimer {
 
   // Record now instead of at scope exit (idempotent).
   void stop() {
-    if constexpr (kEnabled) {
-      if (h_ == nullptr) return;
-      const auto end = std::chrono::steady_clock::now();
-      h_->observe(std::chrono::duration<double>(end - start_).count());
-      h_ = nullptr;
-    }
+    if (h_ == nullptr) return;
+    const auto end = std::chrono::steady_clock::now();
+    h_->observe(std::chrono::duration<double>(end - start_).count());
+    h_ = nullptr;
   }
 
  private:

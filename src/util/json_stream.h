@@ -19,7 +19,7 @@
 // hardening limits (util::kMaxJsonDepth, non-finite rejection) — so the two
 // decoders accept and reject exactly the same byte strings. The DOM path is
 // kept as a differential-testing oracle for this contract
-// (tests/report_decoder_test.cc, OakConfig::ingest_decode).
+// (tests/report_decoder_test.cc).
 #pragma once
 
 #include <cstddef>

@@ -147,8 +147,6 @@ Server::Server(core::ShardedOakServer& oak, WireConfig cfg)
     obs_.parse_errors = &metrics_.counter("oak_wire_parse_errors_total");
     obs_.shed_conns = &metrics_.counter("oak_wire_shed_conn_cap_total");
     obs_.shed_dispatch = &metrics_.counter("oak_wire_shed_dispatch_total");
-    obs_.shed_backpressure =
-        &metrics_.counter("oak_wire_shed_backpressure_total");
     obs_.timeout_header = &metrics_.counter("oak_wire_timeout_header_total");
     obs_.timeout_idle = &metrics_.counter("oak_wire_timeout_idle_total");
     obs_.timeout_write = &metrics_.counter("oak_wire_timeout_write_total");
@@ -677,11 +675,8 @@ bool Server::try_affine_ingest(Conn& c, WireRequest& req) {
   }
   // Shard-affine dispatch: hash the request's oak_uid (cookie, or minted
   // by the wrapper when absent) to its shard and run the request on this
-  // loop thread through that shard's combining queue — one hand-off,
-  // instead of the loop → worker → completion cross-core round trip. The
-  // combining queue keeps the blocking bounded (max_batch per lock
-  // acquisition) and the backpressure shed in begin_request() keeps it
-  // from queueing into collapse.
+  // loop thread under that shard's lock — one hand-off, instead of the
+  // loop → worker → completion cross-core round trip.
   std::string uid;
   if (auto cookie = req.headers.get("Cookie")) {
     auto jar = http::parse_cookie_header(*cookie);
@@ -720,18 +715,6 @@ void Server::begin_request(Conn& c) {
     // Well-formed but unrouted method token.
     respond_inline(c, 405, "method not allowed", ka,
                    {{"Allow", http::kAllowedMethods}});
-    return;
-  }
-
-  // Backpressure shed: refuse report ingest before any work is admitted
-  // once the combining queue is near its bound — an open-loop overload
-  // must fail fast here, not queue into collapse.
-  if (*req.method == http::Method::kPost && req.path == report_path_ &&
-      cfg_.shed_pressure < 1.0 &&
-      oak_.ingest_pressure() >= cfg_.shed_pressure) {
-    bump(obs_.shed_backpressure);
-    respond_inline(c, 503, "overloaded", ka,
-                   {{"Retry-After", std::to_string(cfg_.retry_after_s)}});
     return;
   }
 

@@ -252,32 +252,30 @@ TEST_F(OakServerFixture, MetricsCoverAllFiveIngestStages) {
   ASSERT_NE(page.body.find("alt.cdn.net"), std::string::npos);
 
   obs::MetricsSnapshot snap = oak_->metrics_snapshot();
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(snap.counter("oak_reports_ingested_total"), 1u);
-    EXPECT_EQ(snap.counter("oak_reports_rejected_total"), 1u);
-    EXPECT_EQ(snap.counter("oak_rule_activations_total"), 1u);
-    EXPECT_EQ(snap.counter("oak_pages_served_total"), 1u);
-    EXPECT_EQ(snap.counter("oak_pages_modified_total"), 1u);
-    for (const char* name :
-         {"oak_ingest_decode_seconds", "oak_ingest_group_seconds",
-          "oak_ingest_detect_seconds", "oak_ingest_match_seconds",
-          "oak_serve_modify_seconds"}) {
-      const obs::HistogramSnapshot* h = snap.histogram(name);
-      ASSERT_NE(h, nullptr) << name;
-      EXPECT_GE(h->count(), 1u) << name;
-    }
-    // Both bodies (valid + malformed) are sized before decoding.
-    ASSERT_NE(snap.histogram("oak_ingest_report_bytes"), nullptr);
-    EXPECT_EQ(snap.histogram("oak_ingest_report_bytes")->count(), 2u);
-    // The match-cache counters are folded into the same snapshot.
-    EXPECT_GT(snap.counter("oak_match_memo_misses_total") +
-                  snap.counter("oak_match_memo_hits_total"),
-              0u);
-    const std::string text = snap.to_prometheus();
-    EXPECT_NE(text.find("# TYPE oak_ingest_decode_seconds histogram"),
-              std::string::npos);
-    EXPECT_NE(text.find("oak_reports_ingested_total 1"), std::string::npos);
+  EXPECT_EQ(snap.counter("oak_reports_ingested_total"), 1u);
+  EXPECT_EQ(snap.counter("oak_reports_rejected_total"), 1u);
+  EXPECT_EQ(snap.counter("oak_rule_activations_total"), 1u);
+  EXPECT_EQ(snap.counter("oak_pages_served_total"), 1u);
+  EXPECT_EQ(snap.counter("oak_pages_modified_total"), 1u);
+  for (const char* name :
+       {"oak_ingest_decode_seconds", "oak_ingest_group_seconds",
+        "oak_ingest_detect_seconds", "oak_ingest_match_seconds",
+        "oak_serve_modify_seconds"}) {
+    const obs::HistogramSnapshot* h = snap.histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_GE(h->count(), 1u) << name;
   }
+  // Both bodies (valid + malformed) are sized before decoding.
+  ASSERT_NE(snap.histogram("oak_ingest_report_bytes"), nullptr);
+  EXPECT_EQ(snap.histogram("oak_ingest_report_bytes")->count(), 2u);
+  // The match-cache counters are folded into the same snapshot.
+  EXPECT_GT(snap.counter("oak_match_memo_misses_total") +
+                snap.counter("oak_match_memo_hits_total"),
+            0u);
+  const std::string text = snap.to_prometheus();
+  EXPECT_NE(text.find("# TYPE oak_ingest_decode_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("oak_reports_ingested_total 1"), std::string::npos);
 }
 
 TEST_F(OakServerFixture, HistoryKeepsBetterAlternative) {
@@ -361,34 +359,6 @@ TEST_F(OakServerFixture, MalformedReportRejected) {
   http::Request post =
       http::Request::post("http://shop.com/oak/report", "{broken");
   EXPECT_EQ(oak_->handle(post, 0.0).status, 400);
-}
-
-// All three ingest decode modes must accept the same wire bytes, reject the
-// same malformed bodies, and leave the user profile in the same state; the
-// differential mode additionally cross-checks both decoders on every body.
-TEST_F(OakServerFixture, IngestDecodeModesAgree) {
-  const std::string body = make_report(ext_hosts_[0], "").serialize();
-  const IngestDecode modes[] = {IngestDecode::kStreaming, IngestDecode::kDom,
-                                IngestDecode::kDifferential};
-  int n = 0;
-  for (IngestDecode mode : modes) {
-    oak_->config().ingest_decode = mode;
-    const std::string uid = "decode-u" + std::to_string(n++);
-    const std::string cookie = std::string(http::kOakUserCookie) + "=" + uid;
-
-    http::Request post = http::Request::post("http://shop.com/oak/report",
-                                             body);
-    post.headers.set("Cookie", cookie);
-    EXPECT_EQ(oak_->handle(post, 0.0).status, 204);
-    const UserProfile* p = oak_->profile(uid);
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(p->active.count(rule_id_), 1u);
-
-    http::Request bad = http::Request::post("http://shop.com/oak/report",
-                                            "{broken");
-    bad.headers.set("Cookie", cookie);
-    EXPECT_EQ(oak_->handle(bad, 0.0).status, 400);
-  }
 }
 
 TEST_F(OakServerFixture, UnknownPathIs404) {

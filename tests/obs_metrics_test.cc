@@ -1,8 +1,5 @@
 // oak::obs — registry, instruments, snapshots, expositions, and the
 // multi-threaded recording contract (this suite runs under TSan in CI).
-// Recording-behaviour tests skip under -DOAK_OBS_DISABLED, where every
-// record is compiled to a no-op; the Timer and Concurrency tests assert the
-// disabled contract explicitly instead.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,8 +15,6 @@ namespace oak::obs {
 namespace {
 
 TEST(Counter, IncrementsAndReads) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   Counter c;
   EXPECT_EQ(c.value(), 0u);
   c.inc();
@@ -28,8 +23,6 @@ TEST(Counter, IncrementsAndReads) {
 }
 
 TEST(Gauge, SetAndAdd) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   Gauge g;
   g.set(2.5);
   EXPECT_DOUBLE_EQ(g.value(), 2.5);
@@ -38,8 +31,6 @@ TEST(Gauge, SetAndAdd) {
 }
 
 TEST(Histogram, BucketPlacementAndSum) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   Histogram h(HistogramSpec{1.0, 2.0, 4});  // bounds 1, 2, 4, 8
   h.observe(0.5);   // bucket 0 (le 1)
   h.observe(1.0);   // bucket 0 (le 1, inclusive upper bound)
@@ -58,8 +49,6 @@ TEST(Histogram, BucketPlacementAndSum) {
 }
 
 TEST(Histogram, NanDroppedInfOverflowsWithFiniteSum) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   Histogram h(HistogramSpec{1.0, 2.0, 4});
   h.observe(std::nan(""));
   h.observe(std::numeric_limits<double>::infinity());
@@ -72,8 +61,6 @@ TEST(Histogram, NanDroppedInfOverflowsWithFiniteSum) {
 }
 
 TEST(Histogram, QuantilesAreMonotoneAndWithinRange) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   Histogram h(HistogramSpec::latency());
   for (int i = 1; i <= 1000; ++i) h.observe(i * 1e-4);  // 0.1ms … 100ms
   HistogramSnapshot s = h.snapshot();
@@ -90,8 +77,6 @@ TEST(Histogram, QuantilesAreMonotoneAndWithinRange) {
 }
 
 TEST(Histogram, MergeAddsCountsAndRejectsSpecMismatch) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   Histogram a(HistogramSpec{1.0, 2.0, 4});
   Histogram b(HistogramSpec{1.0, 2.0, 4});
   a.observe(1.0);
@@ -124,8 +109,6 @@ TEST(Registry, FindOrCreateReturnsStableInstruments) {
 }
 
 TEST(Registry, SnapshotCapturesEverything) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   MetricsRegistry r;
   r.counter("a_total").inc(3);
   r.gauge("b").set(1.5);
@@ -142,8 +125,6 @@ TEST(Registry, SnapshotCapturesEverything) {
 }
 
 TEST(Snapshot, MergeAcrossRegistries) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   MetricsRegistry a, b;
   a.counter("n_total").inc(1);
   b.counter("n_total").inc(2);
@@ -161,8 +142,6 @@ TEST(Snapshot, MergeAcrossRegistries) {
 }
 
 TEST(Exposition, PrometheusTextShape) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   MetricsRegistry r;
   r.counter("oak_reports_ingested_total").inc(5);
   r.gauge("oak_shards").set(8.0);
@@ -189,8 +168,6 @@ TEST(Exposition, PrometheusTextShape) {
 }
 
 TEST(Exposition, JsonShapeIsFiniteAndCompact) {
-  if constexpr (!kEnabled) GTEST_SKIP() << "obs compiled out";
-
   MetricsRegistry r;
   r.counter("c_total").inc(2);
   Histogram& h = r.histogram("h_seconds", HistogramSpec{1.0, 2.0, 8});
@@ -214,11 +191,7 @@ TEST(Timer, RecordsOnceAndNullIsNoop) {
     t.stop();
     t.stop();  // idempotent
   }
-  if constexpr (kEnabled) {
-    EXPECT_EQ(h.snapshot().count(), 1u);
-  } else {
-    EXPECT_EQ(h.snapshot().count(), 0u);
-  }
+  EXPECT_EQ(h.snapshot().count(), 1u);
   { ScopedTimer t(nullptr); }  // must not crash or record
 }
 
@@ -248,11 +221,9 @@ TEST(Concurrency, EightThreadsRecordLosslessly) {
   }
   go.store(true, std::memory_order_release);
   for (auto& th : threads) th.join();
-  if constexpr (kEnabled) {
-    EXPECT_EQ(c.value(), std::uint64_t(kThreads) * kPerThread);
-    EXPECT_EQ(h.snapshot().count(), std::uint64_t(kThreads) * kPerThread);
-    EXPECT_TRUE(std::isfinite(h.snapshot().sum));
-  }
+  EXPECT_EQ(c.value(), std::uint64_t(kThreads) * kPerThread);
+  EXPECT_EQ(h.snapshot().count(), std::uint64_t(kThreads) * kPerThread);
+  EXPECT_TRUE(std::isfinite(h.snapshot().sum));
 }
 
 }  // namespace

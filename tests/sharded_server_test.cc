@@ -15,7 +15,6 @@
 #include <sstream>
 #include <thread>
 
-#include "core/concurrent_server.h"
 #include "core/rule_parser.h"
 #include "core/sharded_server.h"
 #include "http/cookies.h"
@@ -334,86 +333,48 @@ TEST_F(ShardedFixture, MergedMetricsCoverAllStagesUnderConcurrency) {
   constexpr std::uint64_t kReports = kUsers * kIterations;
   obs::MetricsSnapshot snap = sharded.metrics_snapshot();
 
-  // The wrapper tallies are plain atomics folded in at snapshot time; they
-  // hold with or without compiled-in obs.
+  // The wrapper tallies are plain atomics folded in at snapshot time.
   EXPECT_EQ(snap.counter("oak_requests_total"), kReports * 2);
   EXPECT_DOUBLE_EQ(snap.gauge("oak_shards"), 8.0);
 
-  if constexpr (obs::kEnabled) {
-    EXPECT_EQ(snap.counter("oak_reports_ingested_total"), kReports);
-    EXPECT_EQ(snap.counter("oak_pages_served_total"), kReports);
-    EXPECT_GT(snap.counter("oak_rule_activations_total"), 0u);
-    // All five stages, merged across the per-shard registries. decode,
-    // group, detect, and match run once per report; modify once per serve
-    // that actually rewrote the page.
-    for (const char* name :
-         {"oak_ingest_decode_seconds", "oak_ingest_group_seconds",
-          "oak_ingest_detect_seconds", "oak_ingest_match_seconds"}) {
-      const obs::HistogramSnapshot* h = snap.histogram(name);
-      ASSERT_NE(h, nullptr) << name;
-      EXPECT_EQ(h->count(), kReports) << name;
-    }
-    const obs::HistogramSnapshot* modify =
-        snap.histogram("oak_serve_modify_seconds");
-    ASSERT_NE(modify, nullptr);
-    EXPECT_GT(modify->count(), 0u);
-    EXPECT_EQ(snap.histogram("oak_ingest_report_bytes")->count(), kReports);
-    // Match-cache counters ride in the same snapshot, and the legacy view
-    // projects from it without disagreement.
-    const ConcurrencyCounters c =
-        ConcurrencyCounters::from_metrics(snap, 8);
-    EXPECT_EQ(c.requests_handled, kReports * 2);
-    EXPECT_GT(c.memo_hit_rate(), 0.5);
-    // Both expositions render the merged data.
-    const std::string text = sharded.metrics_text();
-    EXPECT_NE(text.find("# TYPE oak_ingest_decode_seconds histogram"),
-              std::string::npos);
-    EXPECT_NE(text.find("oak_shards 8"), std::string::npos);
-    const util::Json j = util::Json::parse(sharded.metrics_json().dump());
-    EXPECT_EQ(j.at("counters").at("oak_reports_ingested_total").as_int(),
-              static_cast<std::int64_t>(kReports));
+  EXPECT_EQ(snap.counter("oak_reports_ingested_total"), kReports);
+  EXPECT_EQ(snap.counter("oak_pages_served_total"), kReports);
+  EXPECT_GT(snap.counter("oak_rule_activations_total"), 0u);
+  // All five stages, merged across the per-shard registries. decode,
+  // group, detect, and match run once per report; modify once per serve
+  // that actually rewrote the page.
+  for (const char* name :
+       {"oak_ingest_decode_seconds", "oak_ingest_group_seconds",
+        "oak_ingest_detect_seconds", "oak_ingest_match_seconds"}) {
+    const obs::HistogramSnapshot* h = snap.histogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    EXPECT_EQ(h->count(), kReports) << name;
   }
+  const obs::HistogramSnapshot* modify =
+      snap.histogram("oak_serve_modify_seconds");
+  ASSERT_NE(modify, nullptr);
+  EXPECT_GT(modify->count(), 0u);
+  EXPECT_EQ(snap.histogram("oak_ingest_report_bytes")->count(), kReports);
+  // Match-cache counters ride in the same snapshot, and the legacy view
+  // projects from it without disagreement.
+  const ConcurrencyCounters c =
+      ConcurrencyCounters::from_metrics(snap, 8);
+  EXPECT_EQ(c.requests_handled, kReports * 2);
+  EXPECT_GT(c.memo_hit_rate(), 0.5);
+  // Both expositions render the merged data.
+  const std::string text = sharded.metrics_text();
+  EXPECT_NE(text.find("# TYPE oak_ingest_decode_seconds histogram"),
+            std::string::npos);
+  EXPECT_NE(text.find("oak_shards 8"), std::string::npos);
+  const util::Json j = util::Json::parse(sharded.metrics_json().dump());
+  EXPECT_EQ(j.at("counters").at("oak_reports_ingested_total").as_int(),
+            static_cast<std::int64_t>(kReports));
 }
 
-// --- Ingest-queue variants. The batched hand-off (DESIGN.md §6) must be
-// invisible to state: per-shard FIFO execution plus one-request-in-flight
-// per user means every queue shape below produces the byte-identical
-// profiles of a sequential replay.
-
-// depth=2 / max_batch=1 maximizes contention on the queue itself: producers
-// hit the backpressure wait constantly and every op is its own batch.
-TEST_F(ShardedFixture, TinyQueueBackpressureMatchesReplay) {
-  OakConfig cfg = cfg_;
-  cfg.ingest_queue.depth = 2;
-  cfg.ingest_queue.max_batch = 1;
-  ShardedOakServer sharded(universe_, "busy.com", cfg, 8);
-  sharded.add_rules(rules());
-  run_concurrent(sharded);
-
-  OakServer replay(universe_, "busy.com", cfg_);
-  replay.add_rules(rules());
-  run_replay(replay);
-  EXPECT_TRUE(sharded.export_state().at("users") ==
-              replay.export_state().at("users"));
-
-  if constexpr (obs::kEnabled) {
-    constexpr std::uint64_t kRequests =
-        std::uint64_t(kThreads) * 2 * kIterations * 2;
-    obs::MetricsSnapshot snap = sharded.metrics_snapshot();
-    EXPECT_EQ(snap.counter("oak_ingest_enqueued_total"), kRequests);
-    // max_batch=1: the combiner claims exactly one op per batch.
-    EXPECT_EQ(snap.counter("oak_ingest_batches_total"), kRequests);
-  }
-}
-
-// One shard funnels all 16 users through a single queue with wide batches —
-// the shape where the combiner actually amortizes: many ops per shard-lock
-// acquisition.
+// One shard serves every user from 8 threads: a 1-shard ShardedOakServer is
+// the single-mutex server, and its outcome must be the sequential replay's.
 TEST_F(ShardedFixture, LargeBatchSingleShardMatchesReplay) {
-  OakConfig cfg = cfg_;
-  cfg.ingest_queue.depth = 512;
-  cfg.ingest_queue.max_batch = 64;
-  ShardedOakServer sharded(universe_, "busy.com", cfg, 1);
+  ShardedOakServer sharded(universe_, "busy.com", cfg_, 1);
   sharded.add_rules(rules());
   run_concurrent(sharded);
 
@@ -422,71 +383,48 @@ TEST_F(ShardedFixture, LargeBatchSingleShardMatchesReplay) {
   run_replay(replay);
   EXPECT_TRUE(sharded.export_state().at("users") ==
               replay.export_state().at("users"));
-
-  if constexpr (obs::kEnabled) {
-    constexpr std::uint64_t kRequests =
-        std::uint64_t(kThreads) * 2 * kIterations * 2;
-    obs::MetricsSnapshot snap = sharded.metrics_snapshot();
-    EXPECT_EQ(snap.counter("oak_ingest_enqueued_total"), kRequests);
-    const std::uint64_t batches = snap.counter("oak_ingest_batches_total");
-    EXPECT_GE(batches, 1u);
-    EXPECT_LE(batches, kRequests);
-    // Every enqueued op lands in exactly one batch.
-    const obs::HistogramSnapshot* sizes =
-        snap.histogram("oak_ingest_batch_size");
-    ASSERT_NE(sizes, nullptr);
-    EXPECT_EQ(sizes->count(), batches);
-    EXPECT_DOUBLE_EQ(sizes->sum, double(kRequests));
-  }
+  EXPECT_EQ(sharded.shard_stats().requests_handled,
+            std::uint64_t(kThreads) * 2 * kIterations * 2);
 }
 
-// Kill switch: ingest_queue.enabled=false reverts to lock-per-request and
-// must still match the replay — and register no queue instruments.
-TEST_F(ShardedFixture, QueueDisabledDirectModeMatchesReplay) {
-  OakConfig cfg = cfg_;
-  cfg.ingest_queue.enabled = false;
-  ShardedOakServer sharded(universe_, "busy.com", cfg, 8);
+// Consistent-cut readers (export_state, audit) racing live traffic: every
+// snapshot parses and names the site, and the traffic is all accounted for
+// once the clients stop.
+TEST_F(ShardedFixture, SnapshotsAndAuditsRaceWithTraffic) {
+  ShardedOakServer sharded(universe_, "busy.com", cfg_, 4);
   sharded.add_rules(rules());
-  run_concurrent(sharded);
-
-  OakServer replay(universe_, "busy.com", cfg_);
-  replay.add_rules(rules());
-  run_replay(replay);
-  EXPECT_TRUE(sharded.export_state().at("users") ==
-              replay.export_state().at("users"));
-
-  obs::MetricsSnapshot snap = sharded.metrics_snapshot();
-  EXPECT_EQ(snap.counter("oak_ingest_enqueued_total"), 0u);
-  EXPECT_EQ(snap.histogram("oak_ingest_batch_size"), nullptr);
-}
-
-// Default queue configuration: every request is accounted for exactly once
-// across the queue-health instruments, and the depth gauge drains to zero
-// once the fleet goes quiet.
-TEST_F(ShardedFixture, QueueMetricsAccountForEveryRequest) {
-  ShardedOakServer sharded(universe_, "busy.com", cfg_, 8);
-  sharded.add_rules(rules());
-  run_concurrent(sharded);
-
-  if constexpr (obs::kEnabled) {
-    constexpr std::uint64_t kRequests =
-        std::uint64_t(kThreads) * 2 * kIterations * 2;
-    obs::MetricsSnapshot snap = sharded.metrics_snapshot();
-    EXPECT_EQ(snap.counter("oak_ingest_enqueued_total"), kRequests);
-    const std::uint64_t batches = snap.counter("oak_ingest_batches_total");
-    EXPECT_GE(batches, 1u);
-    EXPECT_LE(batches, kRequests);
-    const obs::HistogramSnapshot* sizes =
-        snap.histogram("oak_ingest_batch_size");
-    ASSERT_NE(sizes, nullptr);
-    EXPECT_EQ(sizes->count(), batches);
-    EXPECT_DOUBLE_EQ(sizes->sum, double(kRequests));
-    // All queues are empty at rest (per-shard gauges merge by addition).
-    EXPECT_DOUBLE_EQ(snap.gauge("oak_ingest_queue_depth"), 0.0);
-    // Backpressure is workload-dependent; the counter just has to exist and
-    // render (it does, at zero or more).
-    EXPECT_LE(snap.counter("oak_ingest_backpressure_total"), kRequests);
+  std::atomic<bool> stop{false};
+  std::atomic<int> snapshots{0};
+  std::thread auditor([&] {
+    while (!stop.load()) {
+      util::Json snap = sharded.export_state();
+      SiteAnalytics audit = sharded.audit();
+      util::Json reparsed = util::Json::parse(snap.dump());
+      EXPECT_EQ(reparsed.at("site").as_string(), "busy.com");
+      (void)audit.summary();
+      snapshots++;
+    }
+  });
+  const std::string wire = report_wire();
+  std::vector<std::thread> clients;
+  for (int t = 0; t < 4; ++t) {
+    clients.emplace_back([&, t] {
+      const std::string cookie =
+          std::string(http::kOakUserCookie) + "=c" + std::to_string(t);
+      for (int i = 0; i < 100; ++i) {
+        http::Request post =
+            http::Request::post("http://busy.com/oak/report", wire);
+        post.headers.set("Cookie", cookie);
+        EXPECT_LT(sharded.handle(post, double(i)).status, 400);
+      }
+    });
   }
+  for (auto& th : clients) th.join();
+  stop = true;
+  auditor.join();
+  EXPECT_GT(snapshots.load(), 0);
+  EXPECT_EQ(sharded.user_count(), 4u);
+  EXPECT_EQ(sharded.reports_processed(), 400u);
 }
 
 // --- Rule churn: holder-index retirement against a full sweep -----------

@@ -406,25 +406,6 @@ TEST_F(WireFixture, DispatchDepthSheds503) {
             1u);
 }
 
-TEST_F(WireFixture, BackpressureShedsReportsButServesPages) {
-  WireConfig wc;
-  wc.shed_pressure = 0.0;  // treat any pressure (even 0) as overload
-  boot(wc);
-  BlockingClient cli = client();
-  auto post =
-      cli.request("POST", "/oak/report", {{"Host", "busy.com"}}, report_wire());
-  ASSERT_TRUE(post.has_value());
-  EXPECT_EQ(post->status, 503);
-  EXPECT_EQ(oak_->reports_processed(), 0u);
-
-  auto get = cli.request("GET", site_.index_path, {{"Host", "busy.com"}});
-  ASSERT_TRUE(get.has_value());
-  EXPECT_EQ(get->status, 200);  // page plane unaffected
-  EXPECT_GE(
-      srv_->metrics_snapshot().counter("oak_wire_shed_backpressure_total"),
-      1u);
-}
-
 TEST_F(WireFixture, SigtermDrainsAndRunsOnDrained) {
   std::atomic<bool> drained{false};
   WireConfig wc;
