@@ -16,9 +16,14 @@
 //                          swept over {1,2,4,8} client threads (the
 //                          matrix).
 //
-// Every cell is best-of-REPS wall time. Emits BENCH_concurrency.json with
-// the matrix, the merged obs snapshot of the acceptance configuration, and
-// three acceptance gates:
+// Every cell is a time-boxed window (default 0.5 s, the one argument),
+// repeated kReps times on a fresh server: the best rep is the cell's
+// figure and the gates read it; min, median and max are reported beside it
+// so run-to-run spread is visible. Each client thread cycles its reports
+// over kUidsPerThread user ids of its own, so the load reaches every shard
+// instead of the few that one uid per thread would hash to. Emits
+// BENCH_concurrency.json with the matrix, the merged obs snapshot of the
+// acceptance configuration, and three acceptance gates:
 //
 //   legacy      sharded-8 >= 3x the single-mutex baseline (top threads);
 //   multicore   sharded-8 >= 3x sharded-1 at 8 threads — enforced only
@@ -28,6 +33,7 @@
 //               (sharding must never lose; 0.9 is the measured run-to-run
 //               noise floor of this bench, see docs/OPERATIONS.md).
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -50,6 +56,7 @@ constexpr std::size_t kFillerRules = 20;
 constexpr std::size_t kFillerBytes = 8 * 1024;
 constexpr int kReps = 3;  // best-of per cell (absorbs scheduler outliers,
                           // which dominate contended cells on small hosts)
+constexpr int kUidsPerThread = 64;
 
 // A multi-KB rule body with URL-shaped references that resolve to hosts no
 // report ever blames — every probe tokenizes and scans all of it for
@@ -148,38 +155,64 @@ struct RunResult {
   std::size_t shards = 0;
   int threads = 0;
   double seconds = 0.0;
-  double reports_per_sec = 0.0;
+  std::uint64_t reports = 0;
+  double reports_per_sec = 0.0;  // best rep
+  double rps_min = 0.0, rps_median = 0.0, rps_max = 0.0;
   double memo_hit_rate = 0.0;
   double script_hit_rate = 0.0;
   std::uint64_t contentions = 0;
 };
 
-// Drive `threads` client threads, each POSTing `reports` reports under its
-// own user id. Returns wall seconds.
-double drive(core::ShardedOakServer& server, const Workload& w, int threads,
-             int reports) {
+struct Drive {
+  std::uint64_t reports = 0;
+  double seconds = 0.0;
+};
+
+// Drive `threads` client threads until each has POSTed `reports` reports or
+// `seconds` of wall time have passed, whichever comes first. Thread t
+// cycles over its own uids bench-t<t>-u<0..kUidsPerThread-1>, so no two
+// threads share a user and every shard gets load. Each report is stamped
+// with the wall time since `origin`, so time-driven state (the per-shard
+// script-cache TTL, rule expiry) ages as it would in production rather
+// than one simulated second per report.
+Drive drive(core::ShardedOakServer& server, const Workload& w, int threads,
+            int reports, double seconds,
+            std::chrono::steady_clock::time_point origin) {
   std::vector<std::thread> pool;
+  std::atomic<std::uint64_t> done{0};
   const auto start = std::chrono::steady_clock::now();
+  const auto deadline =
+      start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                  std::chrono::duration<double>(seconds));
   for (int t = 0; t < threads; ++t) {
     pool.emplace_back([&, t] {
-      const std::string cookie =
-          std::string(http::kOakUserCookie) + "=bench-u" + std::to_string(t);
-      for (int i = 0; i < reports; ++i) {
+      std::vector<std::string> cookies;
+      for (int u = 0; u < kUidsPerThread; ++u) {
+        cookies.push_back(std::string(http::kOakUserCookie) + "=bench-t" +
+                          std::to_string(t) + "-u" + std::to_string(u));
+      }
+      int i = 0;
+      for (; i < reports && std::chrono::steady_clock::now() < deadline; ++i) {
         http::Request post =
             http::Request::post("http://busy.com/oak/report", w.wire);
-        post.headers.set("Cookie", cookie);
-        http::Response resp = server.handle(post, double(i));
+        post.headers.set("Cookie", cookies[std::size_t(i) % cookies.size()]);
+        const double now = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - origin)
+                               .count();
+        http::Response resp = server.handle(post, now);
         if (resp.status >= 400) {
           std::fprintf(stderr, "report rejected: %d\n", resp.status);
           std::abort();
         }
       }
+      done.fetch_add(std::uint64_t(i));
     });
   }
   for (auto& th : pool) th.join();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
+  return {done.load(),
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        start)
+              .count()};
 }
 
 // Untimed reports per thread before each timed window. Steady-state
@@ -189,13 +222,15 @@ double drive(core::ShardedOakServer& server, const Workload& w, int threads,
 // caches instead of one).
 constexpr int kWarmup = 100;
 
-// One matrix cell, best of kReps. `cache` = false is the seed's matcher (no
-// memoization); its cells are ~20x slower per report, so they warm up with
-// fewer reports — there is no cache to warm, only profiles and activations.
+// One matrix cell: kReps time-boxed windows of `seconds`, each on a fresh
+// server after an untimed warm-up. `cache` = false is the seed's matcher
+// (no memoization); its reports are ~20x slower, so it warms up with fewer
+// — there is no cache to warm, only profiles and activations.
 RunResult run_cell(std::string config, std::size_t shards, bool cache,
-                   int threads, int reports,
+                   int threads, double seconds,
                    util::Json* metrics_out = nullptr) {
   RunResult best;
+  std::vector<double> rates;
   for (int rep = 0; rep < kReps; ++rep) {
     Workload w;
     core::OakConfig cfg;
@@ -206,9 +241,13 @@ RunResult run_cell(std::string config, std::size_t shards, bool cache,
     res.config = config;
     res.shards = shards;
     res.threads = threads;
-    drive(server, w, threads, cache ? kWarmup : 10);  // untimed
-    res.seconds = drive(server, w, threads, reports);
-    res.reports_per_sec = double(threads) * reports / res.seconds;
+    const auto origin = std::chrono::steady_clock::now();
+    drive(server, w, threads, cache ? kWarmup : 10, 1e9, origin);  // untimed
+    const Drive timed = drive(server, w, threads, 1 << 30, seconds, origin);
+    res.seconds = timed.seconds;
+    res.reports = timed.reports;
+    res.reports_per_sec = double(timed.reports) / timed.seconds;
+    rates.push_back(res.reports_per_sec);
     const core::MatchCacheStats stats = server.match_cache_stats();
     res.memo_hit_rate = stats.memo_hit_rate();
     res.script_hit_rate = stats.script_hit_rate();
@@ -222,17 +261,24 @@ RunResult run_cell(std::string config, std::size_t shards, bool cache,
       if (metrics_out != nullptr) *metrics_out = server.metrics_json();
     }
   }
+  std::sort(rates.begin(), rates.end());
+  best.rps_min = rates.front();
+  best.rps_median = rates[rates.size() / 2];
+  best.rps_max = rates.back();
   return best;
 }
 
-util::Json run_to_json(const RunResult& r, int reports, double rel_to) {
+util::Json run_to_json(const RunResult& r, double rel_to) {
   util::JsonObject o;
   o["config"] = r.config;
   o["shards"] = r.shards;
   o["threads"] = r.threads;
-  o["reports_per_thread"] = reports;
+  o["reports"] = r.reports;
   o["seconds"] = r.seconds;
   o["reports_per_sec"] = r.reports_per_sec;
+  o["reports_per_sec_min"] = r.rps_min;
+  o["reports_per_sec_median"] = r.rps_median;
+  o["reports_per_sec_max"] = r.rps_max;
   if (rel_to > 0.0) o["speedup_vs_baseline"] = r.reports_per_sec / rel_to;
   o["memo_hit_rate"] = r.memo_hit_rate;
   o["script_cache_hit_rate"] = r.script_hit_rate;
@@ -241,17 +287,18 @@ util::Json run_to_json(const RunResult& r, int reports, double rel_to) {
 }
 
 void print_run(const RunResult& r) {
-  std::printf("%-20s %3dT %10.3f %12.0f %9.1f%% %12llu\n",
-              r.config.c_str(), r.threads, r.seconds, r.reports_per_sec,
-              100.0 * r.memo_hit_rate,
+  std::printf("%-20s %3dT %8llu %12.0f %8.0f-%-8.0f %9.1f%% %12llu\n",
+              r.config.c_str(), r.threads,
+              static_cast<unsigned long long>(r.reports), r.reports_per_sec,
+              r.rps_min, r.rps_max, 100.0 * r.memo_hit_rate,
               static_cast<unsigned long long>(r.contentions));
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  int reports = 250;  // per thread, per cell
-  if (argc > 1) reports = std::max(1, std::atoi(argv[1]));
+  double seconds = 0.5;  // timed window per rep, per cell
+  if (argc > 1) seconds = std::max(0.01, std::atof(argv[1]));
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
 
   const std::vector<int> thread_counts = {1, 2, 4, 8};
@@ -259,16 +306,17 @@ int main(int argc, char** argv) {
   const int max_threads = thread_counts.back();
 
   std::printf("report ingestion matrix: {1,2,4,8} threads x sharded "
-              "{1,4,8,16}, %d reports/thread, %zu rules (%zu x %zuKB "
-              "filler), best of %d, %u core(s)\n\n",
-              reports, 4 + kFillerRules, kFillerRules, kFillerBytes / 1024,
-              kReps, cores);
-  std::printf("%-20s %4s %10s %12s %10s %12s\n", "config", "thr",
-              "seconds", "reports/s", "memo-hit", "contentions");
+              "{1,4,8,16}, %.2f s windows, %d uids/thread, %zu rules (%zu x "
+              "%zuKB filler), best of %d, %u core(s)\n\n",
+              seconds, kUidsPerThread, 4 + kFillerRules, kFillerRules,
+              kFillerBytes / 1024, kReps, cores);
+  std::printf("%-20s %4s %8s %12s %17s %10s %12s\n", "config", "thr",
+              "reports", "best rps", "min-max rps", "memo-hit",
+              "contentions");
 
   // Legacy baseline (top thread count only; it is ~20x slower per report).
   const RunResult baseline = run_cell("single-mutex-nocache", 1,
-                                      /*cache=*/false, max_threads, reports);
+                                      /*cache=*/false, max_threads, seconds);
   print_run(baseline);
 
   // The matrix. rps[threads][shards] drives the gates below.
@@ -280,7 +328,7 @@ int main(int argc, char** argv) {
     for (std::size_t shards : shard_counts) {
       const bool acceptance_cell = threads == max_threads && shards == 8;
       RunResult r = run_cell("sharded-" + std::to_string(shards), shards,
-                             /*cache=*/true, threads, reports,
+                             /*cache=*/true, threads, seconds,
                              acceptance_cell ? &stage_metrics : nullptr);
       print_run(r);
       if (shards == 1) sharded1_at[threads] = r.reports_per_sec;
@@ -318,15 +366,16 @@ int main(int argc, char** argv) {
   }
 
   util::JsonArray out_runs;
-  out_runs.push_back(run_to_json(baseline, reports, 0.0));
+  out_runs.push_back(run_to_json(baseline, 0.0));
   for (const RunResult& r : matrix) {
-    out_runs.push_back(run_to_json(r, reports, baseline.reports_per_sec));
+    out_runs.push_back(run_to_json(r, baseline.reports_per_sec));
   }
 
   util::JsonObject root;
   root["bench"] = std::string("load_concurrent");
   root["hardware_concurrency"] = static_cast<std::size_t>(cores);
-  root["reports_per_thread"] = reports;
+  root["cell_seconds"] = seconds;
+  root["uids_per_thread"] = kUidsPerThread;
   root["reps_best_of"] = static_cast<std::size_t>(kReps);
   root["runs"] = std::move(out_runs);
   root["metrics"] = std::move(stage_metrics);

@@ -15,81 +15,104 @@ std::string to_string(DecisionType t) {
   return "?";
 }
 
-util::Json decision_to_json(const Decision& d) {
-  util::JsonObject o;
-  o["t"] = d.time;
-  o["user"] = d.user_id;
-  o["rule"] = d.rule_id;
-  o["type"] = static_cast<int>(d.type);
-  o["violator"] = d.violator_ip;
-  o["distance"] = d.distance;
-  o["alt"] = d.alternative_index;
-  return util::Json(std::move(o));
+void write_decision(util::JsonWriter& w, const Decision& d) {
+  w.begin_object();
+  w.member("alt", double(d.alternative_index));
+  w.member("distance", d.distance);
+  w.member("rule", d.rule_id);
+  w.member("t", d.time);
+  w.member("type", static_cast<int>(d.type));
+  w.member("user", d.user_id);
+  w.member("violator", d.violator_ip);
+  w.end_object();
 }
 
-Decision decision_from_json(const util::Json& j) {
+Decision read_decision(util::JsonReader& r) {
   Decision d;
-  d.time = j.at("t").as_number();
-  d.user_id = j.at("user").as_string();
-  d.rule_id = static_cast<int>(j.at("rule").as_int());
-  d.type = static_cast<DecisionType>(j.at("type").as_int());
-  d.violator_ip = j.at("violator").as_string();
-  d.distance = j.at("distance").as_number();
-  d.alternative_index = static_cast<std::size_t>(j.at("alt").as_int());
+  r.begin_object();
+  d.alternative_index = std::size_t(r.integer("alt"));
+  d.distance = r.number("distance");
+  d.rule_id = static_cast<int>(r.integer("rule"));
+  d.time = r.number("t");
+  d.type = static_cast<DecisionType>(r.integer("type"));
+  d.user_id = r.string("user");
+  d.violator_ip = r.string("violator");
+  r.end_object();
   return d;
 }
 
-util::Json context_to_json(const ReportContext& c) {
-  util::JsonObject o;
-  o["t"] = c.time;
-  o["user"] = c.user_id;
-  o["ip"] = c.client_ip;
-  o["plt"] = c.plt_s;
-  if (c.serve_only) o["serve"] = true;
-  util::JsonArray rules;
-  for (const auto& m : c.rule_matches) {
-    util::JsonObject mo;
-    mo["rule"] = m.rule_id;
-    mo["sev"] = m.severity;
-    mo["violator"] = m.violator_ip;
-    rules.push_back(std::move(mo));
-  }
-  o["rules"] = std::move(rules);
-  util::JsonArray alts;
-  for (const auto& m : c.alt_matches) {
-    util::JsonObject mo;
-    mo["rule"] = m.rule_id;
-    mo["alt"] = m.alt_index;
-    mo["sev"] = m.severity;
-    mo["violator"] = m.violator_ip;
-    alts.push_back(std::move(mo));
-  }
-  o["alts"] = std::move(alts);
-  return util::Json(std::move(o));
+util::Json decision_to_json(const Decision& d) {
+  util::JsonWriter w;
+  write_decision(w, d);
+  return util::Json::parse(w.take());
 }
 
-ReportContext context_from_json(const util::Json& j) {
+void write_context(util::JsonWriter& w, const ReportContext& c) {
+  w.begin_object();
+  w.key("alts");
+  w.begin_array();
+  for (const auto& m : c.alt_matches) {
+    w.begin_object();
+    w.member("alt", double(m.alt_index));
+    w.member("rule", m.rule_id);
+    w.member("sev", m.severity);
+    w.member("violator", m.violator_ip);
+    w.end_object();
+  }
+  w.end_array();
+  w.member("ip", c.client_ip);
+  w.member("plt", c.plt_s);
+  w.key("rules");
+  w.begin_array();
+  for (const auto& m : c.rule_matches) {
+    w.begin_object();
+    w.member("rule", m.rule_id);
+    w.member("sev", m.severity);
+    w.member("violator", m.violator_ip);
+    w.end_object();
+  }
+  w.end_array();
+  if (c.serve_only) {
+    w.key("serve");
+    w.boolean(true);
+  }
+  w.member("t", c.time);
+  w.member("user", c.user_id);
+  w.end_object();
+}
+
+ReportContext read_context(util::JsonReader& r) {
   ReportContext c;
-  c.time = j.at("t").as_number();
-  c.user_id = j.at("user").as_string();
-  c.client_ip = j.at("ip").as_string();
-  c.plt_s = j.at("plt").as_number();
-  if (const auto* s = j.find("serve")) c.serve_only = s->as_bool();
-  for (const auto& m : j.at("rules").as_array()) {
-    ContextRuleMatch rm;
-    rm.rule_id = static_cast<int>(m.at("rule").as_int());
-    rm.severity = m.at("sev").as_number();
-    rm.violator_ip = m.at("violator").as_string();
-    c.rule_matches.push_back(std::move(rm));
+  r.begin_object();
+  r.want("alts");
+  r.begin_array();
+  while (r.more()) {
+    r.begin_object();
+    ContextAltMatch m;
+    m.alt_index = std::size_t(r.integer("alt"));
+    m.rule_id = static_cast<int>(r.integer("rule"));
+    m.severity = r.number("sev");
+    m.violator_ip = r.string("violator");
+    r.end_object();
+    c.alt_matches.push_back(std::move(m));
   }
-  for (const auto& m : j.at("alts").as_array()) {
-    ContextAltMatch am;
-    am.rule_id = static_cast<int>(m.at("rule").as_int());
-    am.alt_index = static_cast<std::size_t>(m.at("alt").as_int());
-    am.severity = m.at("sev").as_number();
-    am.violator_ip = m.at("violator").as_string();
-    c.alt_matches.push_back(std::move(am));
+  c.client_ip = r.string("ip");
+  c.plt_s = r.number("plt");
+  r.want("rules");
+  r.begin_array();
+  while (r.more()) {
+    r.begin_object();
+    ContextRuleMatch m;
+    m.rule_id = static_cast<int>(r.integer("rule"));
+    m.severity = r.number("sev");
+    m.violator_ip = r.string("violator");
+    r.end_object();
+    c.rule_matches.push_back(std::move(m));
   }
+  if (r.has("serve")) c.serve_only = r.boolean();
+  c.time = r.number("t");
+  c.user_id = r.string("user");
+  r.end_object();
   return c;
 }
 
@@ -132,28 +155,36 @@ std::map<int, std::size_t> DecisionLog::activations_per_rule() const {
 }
 
 util::Json DecisionLog::to_json() const {
-  util::JsonObject o;
-  util::JsonArray decisions;
-  for (const auto& d : entries_) decisions.push_back(decision_to_json(d));
-  o["decisions"] = std::move(decisions);
+  util::JsonWriter w;
+  w.begin_object();
   if (!contexts_.empty()) {
-    util::JsonArray contexts;
-    for (const auto& c : contexts_) contexts.push_back(context_to_json(c));
-    o["contexts"] = std::move(contexts);
+    w.key("contexts");
+    w.begin_array();
+    for (const auto& c : contexts_) write_context(w, c);
+    w.end_array();
   }
-  return util::Json(std::move(o));
+  w.key("decisions");
+  w.begin_array();
+  for (const auto& d : entries_) write_decision(w, d);
+  w.end_array();
+  w.end_object();
+  return util::Json::parse(w.take());
 }
 
 DecisionLog DecisionLog::from_json(const util::Json& j) {
+  const std::string doc = j.dump();
+  util::JsonReader r(doc);
   DecisionLog log;
-  for (const auto& d : j.at("decisions").as_array()) {
-    log.record(decision_from_json(d));
+  r.begin_object();
+  if (r.has("contexts")) {
+    r.begin_array();
+    while (r.more()) log.record_context(read_context(r));
   }
-  if (const auto* c = j.find("contexts")) {
-    for (const auto& cj : c->as_array()) {
-      log.record_context(context_from_json(cj));
-    }
-  }
+  r.want("decisions");
+  r.begin_array();
+  while (r.more()) log.record(read_decision(r));
+  r.end_object();
+  r.end();
   return log;
 }
 

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "util/json.h"
+#include "util/json_stream.h"
 
 namespace oak::core {
 
@@ -49,11 +50,14 @@ struct Decision {
   std::size_t alternative_index = 0;
 };
 
-// Shared JSON codec for decisions — the persistence snapshot and the replay
-// log file must agree on these bytes (keys t/user/rule/type/violator/
-// distance/alt; type as integer so new enum values pass through).
+// The one JSON codec for decisions and report contexts, streamed: the
+// persistence snapshot and the replay log file write the same bytes (keys
+// alt/distance/rule/t/type/user/violator in JsonObject order; type as an
+// integer so new enum values pass through).
+void write_decision(util::JsonWriter& w, const Decision& d);
+Decision read_decision(util::JsonReader& r);
+// The parsed form of write_decision's bytes, for JSON reports.
 util::Json decision_to_json(const Decision& d);
-Decision decision_from_json(const util::Json& j);
 
 // --- Replayable report context --------------------------------------------
 
@@ -91,8 +95,8 @@ struct ReportContext {
   std::vector<ContextAltMatch> alt_matches;
 };
 
-util::Json context_to_json(const ReportContext& c);
-ReportContext context_from_json(const util::Json& j);
+void write_context(util::JsonWriter& w, const ReportContext& c);
+ReportContext read_context(util::JsonReader& r);
 
 class DecisionLog {
  public:

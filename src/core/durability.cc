@@ -234,10 +234,15 @@ void Journal::sync() {
 namespace {
 
 std::string read_whole_file(const std::string& path) {
+  // One allocation of the file's size (a snapshot runs to tens of MB); a
+  // directory or missing file reads as empty.
+  std::error_code ec;
+  const std::uintmax_t size = fs::file_size(path, ec);
+  if (ec) return {};
   std::ifstream in(path, std::ios::binary);
-  if (!in) return {};
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
+  std::string data(static_cast<std::size_t>(size), '\0');
+  in.read(data.data(), static_cast<std::streamsize>(data.size()));
+  data.resize(static_cast<std::size_t>(in.gcount()));
   return data;
 }
 
@@ -306,47 +311,67 @@ Manifest Manifest::from_json(const util::Json& j) {
   return m;
 }
 
-util::Json SnapshotEnvelope::to_json() const {
-  util::JsonObject o;
-  o["envelope_version"] = kSnapshotEnvelopeVersion;
-  o["next_rule_id"] = next_rule_id;
-  util::JsonArray rs;
+void SnapshotEnvelope::write(util::JsonWriter& w,
+                             const StateWriter& write_state) const {
+  w.begin_object();
+  w.member("envelope_version", kSnapshotEnvelopeVersion);
+  w.member("next_rule_id", double(next_rule_id));
+  w.key("rules");
+  w.begin_array();
   for (const RuleEntry& r : rules) {
-    util::JsonObject e;
-    e["id"] = r.id;
-    e["rule"] = r.text;
-    rs.push_back(util::Json(std::move(e)));
+    w.begin_object();
+    w.member("id", double(r.id));
+    w.member("rule", r.text);
+    w.end_object();
   }
-  o["rules"] = std::move(rs);
-  o["state"] = state;
-  return util::Json(std::move(o));
+  w.end_array();
+  w.key("state");
+  write_state(w);
+  w.end_object();
 }
 
-SnapshotEnvelope SnapshotEnvelope::from_json(const util::Json& j) {
-  const util::Json* ver = j.find("envelope_version");
-  if (ver == nullptr) {
+SnapshotEnvelope SnapshotEnvelope::parse(std::string bytes) {
+  SnapshotEnvelope env;
+  env.bytes = std::move(bytes);
+  util::JsonReader r(env.bytes);
+  r.begin_object();
+  if (!r.has("envelope_version")) {
     throw std::runtime_error(
         "durability: snapshot file is not an envelope (missing "
         "envelope_version)");
   }
-  if (ver->as_int() > kSnapshotEnvelopeVersion) {
+  if (r.integer() > kSnapshotEnvelopeVersion) {
     throw std::runtime_error(
         "durability: snapshot envelope_version newer than this binary");
   }
-  SnapshotEnvelope env;
-  env.next_rule_id = j.at("next_rule_id").as_int();
-  for (const auto& e : j.at("rules").as_array()) {
-    env.rules.push_back(
-        RuleEntry{e.at("id").as_int(), e.at("rule").as_string()});
+  env.next_rule_id = r.integer("next_rule_id");
+  r.want("rules");
+  r.begin_array();
+  while (r.more()) {
+    RuleEntry e;
+    r.begin_object();
+    e.id = r.integer("id");
+    e.text = r.string("rule");
+    r.end_object();
+    env.rules.push_back(std::move(e));
   }
-  env.state = j.at("state");
+  // The state is only checked for syntax here; its reader decodes it.
+  // Its value starts after the colon that follows the key.
+  r.want("state");
+  const std::size_t after_key = r.offset();
+  r.skip();
+  env.state_begin = env.bytes.find_first_not_of(" \t\n\r:", after_key);
+  env.state_end = r.offset();
+  r.end_object();
+  r.end();
   return env;
 }
 
 // ---------------------------------------------------------------------------
 // Atomic file write.
 
-void write_file_atomic(const std::string& path, std::string_view bytes) {
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::FILE*)>& write) {
   const std::string tmp = path + ".tmp";
   {
     std::FILE* f = std::fopen(tmp.c_str(), "wb");
@@ -354,17 +379,26 @@ void write_file_atomic(const std::string& path, std::string_view bytes) {
       throw std::runtime_error("durability: cannot write '" + tmp +
                                "': " + std::strerror(errno));
     }
-    const std::size_t wrote = std::fwrite(bytes.data(), 1, bytes.size(), f);
-    bool ok = wrote == bytes.size() && std::fflush(f) == 0;
+    auto discard = [&] {
+      std::fclose(f);
+      std::error_code ec;
+      fs::remove(tmp, ec);
+    };
+    try {
+      write(f);
+    } catch (...) {
+      discard();
+      throw;
+    }
+    bool ok = std::ferror(f) == 0 && std::fflush(f) == 0;
 #if defined(OAK_HAVE_FSYNC)
     ok = ok && ::fsync(fileno(f)) == 0;
 #endif
-    std::fclose(f);
     if (!ok) {
-      std::error_code ec;
-      fs::remove(tmp, ec);
+      discard();
       throw std::runtime_error("durability: short write to '" + tmp + "'");
     }
+    std::fclose(f);
   }
   if (std::rename(tmp.c_str(), path.c_str()) != 0) {
     throw std::runtime_error("durability: rename '" + tmp + "' -> '" + path +
@@ -418,6 +452,8 @@ Manager::Manager(Options opts, std::size_t shards, bool metrics_enabled)
                                             obs::HistogramSpec::bytes());
     obs_.sync_seconds = &metrics_.histogram("oak_journal_sync_seconds");
     obs_.compactions = &metrics_.counter("oak_journal_compactions_total");
+    obs_.compact_seconds = &metrics_.histogram("oak_journal_compact_seconds");
+    obs_.snapshot_bytes = &metrics_.gauge("oak_journal_snapshot_bytes");
     obs_.live_bytes = &metrics_.gauge("oak_journal_live_bytes");
     obs_.epoch = &metrics_.gauge("oak_journal_epoch");
     obs_.recovery_seconds = &metrics_.histogram("oak_journal_recovery_seconds");
@@ -456,8 +492,8 @@ Manager::Startup Manager::startup() {
     ctl_offset_ = m.ctl_offset;
     shard_offsets_ = m.shard_offsets;
     if (!snapshot_file_.empty()) {
-      st.snapshot = SnapshotEnvelope::from_json(
-          util::Json::parse(read_whole_file(file_path(snapshot_file_))));
+      st.snapshot =
+          SnapshotEnvelope::parse(read_whole_file(file_path(snapshot_file_)));
       st.have_snapshot = true;
       report_.rules_loaded = st.snapshot.rules.size();
     }
@@ -482,8 +518,9 @@ Manager::Startup Manager::startup() {
     // rules expected from operator configuration (the old contract).
     st.legacy = true;
     st.bootstrap = true;
-    st.legacy_state =
-        util::Json::parse(read_whole_file(file_path(kLegacySnapshotName)));
+    st.have_snapshot = true;
+    st.snapshot.bytes = read_whole_file(file_path(kLegacySnapshotName));
+    st.snapshot.state_end = st.snapshot.bytes.size();
   } else {
     st.bootstrap = true;
   }
@@ -535,7 +572,11 @@ Manifest Manager::current_manifest() const {
 }
 
 void Manager::write_manifest(const Manifest& m) {
-  write_file_atomic(file_path(kManifestName), m.to_json().dump_pretty(2));
+  write_file_atomic(file_path(kManifestName), [&m](std::FILE* f) {
+    util::JsonWriter w(f, /*indent=*/2);
+    w.value(m.to_json());
+    w.flush();
+  });
 }
 
 void Manager::append_request(std::size_t shard, const RequestRecordView& r) {
@@ -586,12 +627,24 @@ bool Manager::should_compact() const {
              opts_.compact_threshold_bytes;
 }
 
-void Manager::compact(const SnapshotEnvelope& env) {
+void Manager::compact(const SnapshotEnvelope& env,
+                      const SnapshotEnvelope::StateWriter& write_state) {
+  obs::ScopedTimer compact_timer(obs_.compact_seconds);
   const std::uint64_t e = epoch_ + 1;
   const std::string snap_name = "snapshot-" + std::to_string(e) + ".json";
 
-  // 1. The snapshot itself, durable before anything references it.
-  write_file_atomic(file_path(snap_name), env.to_json().dump());
+  // 1. The snapshot itself, streamed, durable before anything references
+  // it.
+  std::uint64_t snap_bytes = 0;
+  write_file_atomic(file_path(snap_name), [&](std::FILE* f) {
+    util::JsonWriter w(f);
+    env.write(w, write_state);
+    w.flush();
+    snap_bytes = w.bytes();
+  });
+  if (obs_.snapshot_bytes != nullptr) {
+    obs_.snapshot_bytes->set(static_cast<double>(snap_bytes));
+  }
 
   // 2. Commit: a manifest pointing at the new snapshot, replay offsets at
   // the current journal ends. From here on, recovery uses epoch `e`.

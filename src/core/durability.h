@@ -27,16 +27,17 @@
 //   wal-ctl.log           control journal (rule churn)
 //   wal-<shard>.log       one request journal per shard
 //
-// Compaction: under all shard locks, write snapshot-<E+1>.json (tmp +
-// rename), commit a MANIFEST pointing at it with offsets = current journal
-// sizes, then truncate the journals and commit a second MANIFEST with
-// offsets 0. A crash between the two commits leaves offsets pointing past
+// Compaction: under all shard locks, stream snapshot-<E+1>.json (tmp +
+// rename) straight from the shards' state, commit a MANIFEST pointing at it
+// with offsets = current journal sizes, then truncate the journals and
+// commit a second MANIFEST with offsets 0. A crash between the two commits leaves offsets pointing past
 // EOF, which recovery reads as "suffix empty" — correct, the data is all in
 // the snapshot. Journals are never destroyed before the manifest that
 // obsoletes them is durable.
 //
 // Recovery: load the manifest (rejecting a format_version newer than this
-// binary), import the snapshot, scan each journal from its offset —
+// binary), import the snapshot (decoded by the scanner straight into each
+// shard's state), scan each journal from its offset —
 // stopping at the first torn or corrupt frame, by design — then replay
 // shards in parallel. A directory with no MANIFEST but a bare
 // export_state JSON in snapshot.json is accepted as a degraded cold start
@@ -53,6 +54,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -62,6 +64,7 @@
 #include "core/durability_options.h"
 #include "obs/metrics.h"
 #include "util/json.h"
+#include "util/json_stream.h"
 
 namespace oak::durability {
 
@@ -270,18 +273,31 @@ struct Manifest {
 
 // The durable snapshot file: operator rules (with their pinned ids) plus
 // the plain export_state document, so recovery rebuilds the rule set the
-// journal suffix was written against.
+// journal suffix was written against. The state is never held as a tree:
+// write() streams it from a callback, and a parsed envelope keeps the
+// file's bytes and the state document's span in them.
 struct SnapshotEnvelope {
   struct RuleEntry {
     std::int64_t id = 0;
     std::string text;  // format_rules() of the one rule
   };
+  using StateWriter = std::function<void(util::JsonWriter&)>;
+
   std::vector<RuleEntry> rules;
   std::int64_t next_rule_id = 1;
-  util::Json state;  // OakServer export_state document
+  std::string bytes;  // parsed envelopes only
+  std::size_t state_begin = 0;
+  std::size_t state_end = 0;
 
-  util::Json to_json() const;
-  static SnapshotEnvelope from_json(const util::Json& j);
+  std::string_view state() const {
+    return std::string_view(bytes).substr(state_begin,
+                                          state_end - state_begin);
+  }
+  void write(util::JsonWriter& w, const StateWriter& write_state) const;
+  // The state is checked for syntax only; read_state decodes it. Throws
+  // std::runtime_error on a missing or newer envelope_version,
+  // util::JsonError on anything else malformed.
+  static SnapshotEnvelope parse(std::string bytes);
 };
 
 struct RecoveryReport {
@@ -311,8 +327,9 @@ class Manager {
     bool legacy = false;
     bool bootstrap = false;        // no manifest: baseline must be committed
     bool have_snapshot = false;
-    SnapshotEnvelope snapshot;     // valid when have_snapshot && !legacy
-    util::Json legacy_state;       // valid when legacy
+    // Valid when have_snapshot. A legacy file has no rules: its whole
+    // bytes are the state.
+    SnapshotEnvelope snapshot;
     std::vector<Record> ctl;       // control journal suffix
     std::vector<std::vector<Record>> shards;  // request journal suffixes
     std::uint64_t torn_tails = 0;
@@ -339,9 +356,11 @@ class Manager {
 
   bool should_compact() const;
   // Writes the snapshot + manifest pair and resets the journals. The caller
-  // holds every shard lock (consistent cut) and passes the envelope it
-  // assembled under them.
-  void compact(const SnapshotEnvelope& env);
+  // holds every shard lock (consistent cut) and passes the rules plus a
+  // writer that streams the state. A throw (the snapshot could not be
+  // written) leaves the committed manifest, snapshot and journals alone.
+  void compact(const SnapshotEnvelope& env,
+               const SnapshotEnvelope::StateWriter& write_state);
 
   // Folds the replay outcome into the report and the recovery instruments.
   void note_recovery(std::uint64_t records_replayed, double replay_seconds);
@@ -385,6 +404,8 @@ class Manager {
     obs::Histogram* append_bytes = nullptr;
     obs::Histogram* sync_seconds = nullptr;
     obs::Counter* compactions = nullptr;
+    obs::Histogram* compact_seconds = nullptr;
+    obs::Gauge* snapshot_bytes = nullptr;
     obs::Gauge* live_bytes = nullptr;
     obs::Gauge* epoch = nullptr;
     obs::Histogram* recovery_seconds = nullptr;
@@ -393,8 +414,10 @@ class Manager {
   } obs_;
 };
 
-// Writes `bytes` to `path` atomically: tmp file, flush + fsync, rename.
-// Throws std::runtime_error on IO failure.
-void write_file_atomic(const std::string& path, std::string_view bytes);
+// Writes `path` atomically: `write` streams the content into a tmp file,
+// then flush + fsync + rename. Throws std::runtime_error on IO failure;
+// when `write` throws, the tmp file is removed and the error propagates.
+void write_file_atomic(const std::string& path,
+                       const std::function<void(std::FILE*)>& write);
 
 }  // namespace oak::durability

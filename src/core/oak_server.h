@@ -73,6 +73,15 @@ struct OakConfig {
   UserStoreConfig user_store;
 };
 
+// One server's share of a decoded snapshot (read_state): its profiles in
+// ascending uid order and its decision log, ready to commit.
+struct StatePart {
+  std::vector<UserProfile> profiles;
+  DecisionLog log;
+  std::size_t next_user = 1;
+  std::size_t reports_processed = 0;
+};
+
 // What OakServer::replace_rules did to the rule set.
 struct RuleReplacement {
   std::vector<int> ids;             // final id of each given rule
@@ -181,10 +190,13 @@ class OakServer {
   // state, and are NOT part of *this* snapshot; import expects the same
   // rule set to be configured (the durability envelope carries the rules
   // separately so recovery can rebuild them).
+  // The document streams (write_state/read_state below); this is its
+  // parsed view.
   util::Json export_state() const;
   // Replaces all user state and the decision log. Throws util::JsonError on
-  // malformed input.
+  // malformed input, before anything changes.
   void import_state(const util::Json& snapshot);
+  void import_state(StatePart part);  // commits a decoded part
 
  private:
   http::Response serve_page(const http::Request& req, double now);
@@ -281,5 +293,21 @@ class OakServer {
   // Racing kRaceWinner events staged by PolicyEngine::observe_report.
   std::vector<Decision> race_events_scratch_;
 };
+
+// Streams the export_state document of servers with disjoint users (a
+// ShardedOakServer's shards, or one server): users in one uid order; log
+// and replay contexts in server-then-record order, stably sorted by time
+// when `by_time` (a single server's export keeps its own log order).
+void write_state(util::JsonWriter& w,
+                 const std::vector<const OakServer*>& servers,
+                 std::size_t next_user, bool by_time);
+
+// Decodes an export_state document straight into `parts` partitions by
+// `part_of(user id)`; every part gets next_user, part 0 the whole
+// reports_processed. Throws util::JsonError on anything malformed, having
+// changed no server.
+std::vector<StatePart> read_state(
+    std::string_view doc, std::size_t parts,
+    const std::function<std::size_t(const std::string&)>& part_of);
 
 }  // namespace oak::core

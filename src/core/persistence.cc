@@ -1,181 +1,322 @@
-// Snapshot/restore of an OakServer's per-user state and decision log.
+// Snapshot/restore of OakServer per-user state and decision log.
 //
 // The snapshot is plain JSON with a version tag. Rules are configuration
 // (they live in the operator's rule files), so they are not serialized;
 // active-rule references are stored by rule id and survive as long as the
 // operator keeps ids stable — which add_rule does, since explicit ids are
 // preserved and generated ids are sequential.
+//
+// Both directions stream: write_state emits the document token by token
+// straight from the profiles and logs, and read_state decodes it event by
+// event straight into profiles and logs. Neither builds a util::Json tree,
+// so saving or loading the state costs the state plus one buffer.
 #include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/oak_server.h"
+#include "util/json_stream.h"
 
 namespace oak::core {
 
 namespace {
 constexpr int kSnapshotVersion = 1;
 
-util::Json active_rule_to_json(const ActiveRule& ar) {
-  util::JsonObject o;
-  o["rule"] = ar.rule_id;
-  o["alt"] = ar.alternative_index;
-  o["activated_at"] = ar.activated_at;
-  o["expires_at"] = ar.expires_at;
-  o["distance"] = ar.violation_distance;
-  o["violator"] = ar.violator_ip;
-  return util::Json(std::move(o));
+using util::JsonReader;
+using util::JsonWriter;
+
+// --- Writing. Members go out in byte-wise key order, the order a
+// JsonObject keeps, so the bytes equal Json::dump() of the same document.
+
+void write_active(JsonWriter& w, const ActiveRule& ar) {
+  w.begin_object();
+  w.member("activated_at", ar.activated_at);
+  w.member("alt", double(ar.alternative_index));
+  w.member("distance", ar.violation_distance);
+  w.member("expires_at", ar.expires_at);
+  w.member("rule", ar.rule_id);
+  w.member("violator", ar.violator_ip);
+  w.end_object();
 }
 
-ActiveRule active_rule_from_json(const util::Json& j) {
+// A per-rule map is an object keyed by the rule id's decimal text, so its
+// members sort as strings ("10" before "2").
+template <typename Map>
+void write_id_object(JsonWriter& w, std::string_view name, const Map& m) {
+  std::vector<std::pair<std::string, double>> keyed;
+  keyed.reserve(m.size());
+  for (const auto& [id, v] : m) {
+    keyed.emplace_back(std::to_string(id), static_cast<double>(v));
+  }
+  std::sort(keyed.begin(), keyed.end());
+  w.key(name);
+  w.begin_object();
+  for (const auto& [k, v] : keyed) w.member(k, v);
+  w.end_object();
+}
+
+void write_profile(JsonWriter& w, const UserProfile& p) {
+  w.begin_object();
+  w.key("active");
+  w.begin_array();
+  for (const auto& [rid, ar] : p.active) write_active(w, ar);
+  w.end_array();
+  w.key("banned");
+  w.begin_array();
+  for (int rid : p.banned) w.number(rid);
+  w.end_array();
+  w.member("client_ip", p.client_ip);
+  // Policy-engine state ("cooldown", "race") is emitted only when present:
+  // snapshots of deployments that never race or cool down stay
+  // byte-identical to the pre-engine format.
+  if (!p.cooldown_until.empty()) {
+    write_id_object(w, "cooldown", p.cooldown_until);
+  }
+  w.key("holdback");
+  w.boolean(p.holdback);
+  write_id_object(w, "next_alt", p.next_alternative);
+  w.member("pages", double(p.pages_served));
+  write_id_object(w, "pending", p.pending_violations);
+  w.member("plt_count", double(p.plt_count));
+  w.member("plt_sum", p.plt_sum_s);
+  if (!p.race.empty()) {
+    w.key("race");
+    w.begin_array();
+    for (const auto& [rid, rs] : p.race) {
+      w.begin_object();
+      w.member("cohort", rs.cohort);
+      w.member("count", double(rs.count));
+      w.member("plt_sum", rs.plt_sum);
+      w.member("rule", rid);
+      w.end_object();
+    }
+    w.end_array();
+  }
+  w.member("reports", double(p.reports_received));
+  w.end_object();
+}
+
+// One array over every server's records, in server-then-record order,
+// stably sorted by time when `by_time`. The sort runs over an index of
+// (time, server, position), never over the records themselves.
+template <typename Records, typename Write>
+void write_records(JsonWriter& w, const std::vector<const OakServer*>& servers,
+                   bool by_time, Records records, Write write_one) {
+  struct At {
+    double t;
+    std::uint32_t server;
+    std::uint32_t pos;
+  };
+  std::vector<At> index;
+  for (std::size_t s = 0; s < servers.size(); ++s) {
+    const auto& v = records(*servers[s]);
+    for (std::size_t i = 0; i < v.size(); ++i) {
+      index.push_back({v[i].time, std::uint32_t(s), std::uint32_t(i)});
+    }
+  }
+  if (by_time) {
+    std::stable_sort(index.begin(), index.end(),
+                     [](const At& a, const At& b) { return a.t < b.t; });
+  }
+  w.begin_array();
+  for (const At& a : index) write_one(w, records(*servers[a.server])[a.pos]);
+  w.end_array();
+}
+
+// --- Reading mirrors writing, member for member (util::JsonReader).
+
+ActiveRule read_active(JsonReader& r) {
   ActiveRule ar;
-  ar.rule_id = static_cast<int>(j.at("rule").as_int());
-  ar.alternative_index = static_cast<std::size_t>(j.at("alt").as_int());
-  ar.activated_at = j.at("activated_at").as_number();
-  ar.expires_at = j.at("expires_at").as_number();
-  ar.violation_distance = j.at("distance").as_number();
-  ar.violator_ip = j.at("violator").as_string();
+  r.begin_object();
+  ar.activated_at = r.number("activated_at");
+  ar.alternative_index = std::size_t(r.integer("alt"));
+  ar.violation_distance = r.number("distance");
+  ar.expires_at = r.number("expires_at");
+  ar.rule_id = static_cast<int>(r.integer("rule"));
+  ar.violator_ip = r.string("violator");
+  r.end_object();
   return ar;
+}
+
+template <typename Map, typename Convert>
+void read_id_object(JsonReader& r, Map& out, Convert convert) {
+  r.begin_object();
+  std::string_view key;
+  while (r.next_key(key)) {
+    int id = 0;
+    const char* end = key.data() + key.size();
+    auto [p, ec] = std::from_chars(key.data(), end, id);
+    if (ec != std::errc{} || p != end) r.fail("bad rule id key");
+    out[id] = convert(r.number());
+  }
+  r.end_object();
+}
+
+UserProfile read_profile(JsonReader& r, std::string uid) {
+  auto to_int = [](double n) { return static_cast<int>(std::llround(n)); };
+  auto to_size = [](double n) { return std::size_t(std::llround(n)); };
+  UserProfile p;
+  p.user_id = std::move(uid);
+  r.begin_object();
+  r.want("active");
+  r.begin_array();
+  while (r.more()) {
+    ActiveRule ar = read_active(r);
+    p.active[ar.rule_id] = std::move(ar);
+  }
+  r.want("banned");
+  r.begin_array();
+  while (r.more()) p.banned.insert(static_cast<int>(r.integer()));
+  p.client_ip = r.string("client_ip");
+  if (r.has("cooldown")) {
+    read_id_object(r, p.cooldown_until, [](double n) { return n; });
+  }
+  p.holdback = r.boolean("holdback");
+  r.want("next_alt");
+  read_id_object(r, p.next_alternative, to_size);
+  p.pages_served = std::size_t(r.integer("pages"));
+  r.want("pending");
+  read_id_object(r, p.pending_violations, to_int);
+  p.plt_count = std::size_t(r.integer("plt_count"));
+  p.plt_sum_s = r.number("plt_sum");
+  if (r.has("race")) {
+    r.begin_array();
+    while (r.more()) {
+      RaceStat rs;
+      r.begin_object();
+      rs.cohort = static_cast<int>(r.integer("cohort"));
+      rs.count = static_cast<std::uint64_t>(r.integer("count"));
+      rs.plt_sum = r.number("plt_sum");
+      const int rule = static_cast<int>(r.integer("rule"));
+      r.end_object();
+      // The engine indexes its per-cohort sums by this value.
+      if (rs.cohort != 0 && rs.cohort != 1) r.fail("race cohort not 0 or 1");
+      p.race[rule] = rs;
+    }
+  }
+  p.reports_received = std::size_t(r.integer("reports"));
+  r.end_object();
+  return p;
 }
 
 }  // namespace
 
-util::Json OakServer::export_state() const {
-  util::JsonObject root;
-  root["version"] = kSnapshotVersion;
-  root["site"] = site_host_;
-  root["next_user"] = next_user_;
-  root["reports_processed"] = reports_processed_;
-
-  util::JsonObject users;
-  // The store's sorted visitation covers hot and cold profiles alike — a
-  // demoted user serializes byte-identically to one that stayed resident
-  // (and JsonObject keeps the `users` keys sorted regardless).
-  users_.for_each_sorted([&](const UserProfile& p) {
-    util::JsonObject u;
-    u["client_ip"] = p.client_ip;
-    u["reports"] = p.reports_received;
-    u["pages"] = p.pages_served;
-    u["plt_sum"] = p.plt_sum_s;
-    u["plt_count"] = p.plt_count;
-    u["holdback"] = p.holdback;
-    util::JsonArray active;
-    for (const auto& [rid, ar] : p.active) active.push_back(active_rule_to_json(ar));
-    u["active"] = std::move(active);
-    util::JsonObject pending;
-    for (const auto& [rid, n] : p.pending_violations) {
-      pending[std::to_string(rid)] = n;
-    }
-    u["pending"] = std::move(pending);
-    util::JsonObject next_alt;
-    for (const auto& [rid, n] : p.next_alternative) {
-      next_alt[std::to_string(rid)] = n;
-    }
-    u["next_alt"] = std::move(next_alt);
-    util::JsonArray banned;
-    for (int rid : p.banned) banned.emplace_back(rid);
-    u["banned"] = std::move(banned);
-    // Policy-engine state, emitted only when present: snapshots of
-    // deployments that never race or cool down stay byte-identical to the
-    // pre-engine format.
-    if (!p.race.empty()) {
-      util::JsonArray race;
-      for (const auto& [rid, rs] : p.race) {
-        util::JsonObject ro;
-        ro["rule"] = rid;
-        ro["cohort"] = rs.cohort;
-        ro["plt_sum"] = rs.plt_sum;
-        ro["count"] = rs.count;
-        race.push_back(std::move(ro));
-      }
-      u["race"] = std::move(race);
-    }
-    if (!p.cooldown_until.empty()) {
-      util::JsonObject cooldown;
-      for (const auto& [rid, until] : p.cooldown_until) {
-        cooldown[std::to_string(rid)] = until;
-      }
-      u["cooldown"] = std::move(cooldown);
-    }
-    users[p.user_id] = util::Json(std::move(u));
-  });
-  root["users"] = std::move(users);
-
-  util::JsonArray log;
-  for (const auto& d : log_.entries()) log.push_back(decision_to_json(d));
-  root["log"] = std::move(log);
-  // Replay contexts ride along only when recording was on, for the same
-  // byte-compatibility reason as "race"/"cooldown" above.
-  if (!log_.contexts().empty()) {
-    util::JsonArray contexts;
-    for (const auto& c : log_.contexts()) {
-      contexts.push_back(context_to_json(c));
-    }
-    root["contexts"] = std::move(contexts);
+void write_state(util::JsonWriter& w,
+                 const std::vector<const OakServer*>& servers,
+                 std::size_t next_user, bool by_time) {
+  bool any_contexts = false;
+  std::size_t reports = 0;
+  for (const OakServer* s : servers) {
+    any_contexts = any_contexts || !s->decision_log().contexts().empty();
+    reports += s->reports_processed();
   }
-  return util::Json(std::move(root));
+  w.begin_object();
+  // Replay contexts ride along only when recording was on, for the same
+  // byte-compatibility reason as "race"/"cooldown".
+  if (any_contexts) {
+    w.key("contexts");
+    write_records(
+        w, servers, by_time,
+        [](const OakServer& s) -> const auto& {
+          return s.decision_log().contexts();
+        },
+        write_context);
+  }
+  w.key("log");
+  write_records(
+      w, servers, by_time,
+      [](const OakServer& s) -> const auto& {
+        return s.decision_log().entries();
+      },
+      write_decision);
+  w.member("next_user", double(next_user));
+  w.member("reports_processed", double(reports));
+  w.member("site", servers.front()->site_host());
+  // Users: a k-way merge of each server's uid-sorted visit. Hot and cold
+  // profiles alike — a demoted user serializes byte-identically to one
+  // that stayed resident.
+  std::vector<TieredUserStore::SortedCursor> cursors;
+  cursors.reserve(servers.size());
+  for (const OakServer* s : servers) cursors.push_back(s->user_store().sorted());
+  w.key("users");
+  w.begin_object();
+  while (true) {
+    TieredUserStore::SortedCursor* least = nullptr;
+    for (auto& c : cursors) {
+      if (!c.done() && (least == nullptr || c.uid() < least->uid())) least = &c;
+    }
+    if (least == nullptr) break;
+    w.key(least->uid());
+    write_profile(w, least->profile());
+    least->advance();
+  }
+  w.end_object();
+  w.member("version", kSnapshotVersion);
+  w.end_object();
+}
+
+std::vector<StatePart> read_state(
+    std::string_view doc, std::size_t parts,
+    const std::function<std::size_t(const std::string&)>& part_of) {
+  JsonReader r(doc);
+  std::vector<StatePart> out(parts);
+  r.begin_object();
+  if (r.has("contexts")) {
+    r.begin_array();
+    while (r.more()) {
+      ReportContext c = read_context(r);
+      out[part_of(c.user_id)].log.record_context(std::move(c));
+    }
+  }
+  r.want("log");
+  r.begin_array();
+  while (r.more()) {
+    Decision d = read_decision(r);
+    out[part_of(d.user_id)].log.record(std::move(d));
+  }
+  const auto next_user = std::size_t(r.integer("next_user"));
+  out.front().reports_processed = std::size_t(r.integer("reports_processed"));
+  r.want("users");
+  r.begin_object();
+  std::string_view key;
+  std::string prev;
+  for (bool first = true; r.next_key(key); first = false) {
+    // A JsonObject holds each uid once, in ascending order: the order the
+    // profiles commit (and tiering demotes) in.
+    if (!first && !(prev < key)) r.fail("users out of order");
+    prev = key;
+    out[part_of(prev)].profiles.push_back(read_profile(r, prev));
+  }
+  r.end_object();
+  if (r.integer("version") != kSnapshotVersion) {
+    throw util::JsonError("oak snapshot: unsupported version");
+  }
+  r.end_object();
+  r.end();
+  for (StatePart& p : out) p.next_user = next_user;
+  return out;
+}
+
+util::Json OakServer::export_state() const {
+  util::JsonWriter w;
+  write_state(w, {this}, next_user_, /*by_time=*/false);
+  return util::Json::parse(w.take());
 }
 
 void OakServer::import_state(const util::Json& snapshot) {
-  if (snapshot.at("version").as_int() != kSnapshotVersion) {
-    throw util::JsonError("oak snapshot: unsupported version");
-  }
-  std::vector<UserProfile> profiles;
-  for (const auto& [uid, u] : snapshot.at("users").as_object()) {
-    UserProfile p;
-    p.user_id = uid;
-    p.client_ip = u.at("client_ip").as_string();
-    p.reports_received = static_cast<std::size_t>(u.at("reports").as_int());
-    p.pages_served = static_cast<std::size_t>(u.at("pages").as_int());
-    p.plt_sum_s = u.at("plt_sum").as_number();
-    p.plt_count = static_cast<std::size_t>(u.at("plt_count").as_int());
-    p.holdback = u.at("holdback").as_bool();
-    for (const auto& a : u.at("active").as_array()) {
-      ActiveRule ar = active_rule_from_json(a);
-      p.active[ar.rule_id] = ar;
-    }
-    for (const auto& [rid, n] : u.at("pending").as_object()) {
-      p.pending_violations[std::stoi(rid)] = static_cast<int>(n.as_int());
-    }
-    for (const auto& [rid, n] : u.at("next_alt").as_object()) {
-      p.next_alternative[std::stoi(rid)] =
-          static_cast<std::size_t>(n.as_int());
-    }
-    for (const auto& b : u.at("banned").as_array()) {
-      p.banned.insert(static_cast<int>(b.as_int()));
-    }
-    if (const auto* race = u.find("race")) {
-      for (const auto& r : race->as_array()) {
-        RaceStat rs;
-        rs.cohort = static_cast<int>(r.at("cohort").as_int());
-        rs.plt_sum = r.at("plt_sum").as_number();
-        rs.count = static_cast<std::uint64_t>(r.at("count").as_int());
-        p.race[static_cast<int>(r.at("rule").as_int())] = rs;
-      }
-    }
-    if (const auto* cooldown = u.find("cooldown")) {
-      for (const auto& [rid, until] : cooldown->as_object()) {
-        p.cooldown_until[std::stoi(rid)] = until.as_number();
-      }
-    }
-    profiles.push_back(std::move(p));
-  }
-  DecisionLog log;
-  for (const auto& d : snapshot.at("log").as_array()) {
-    log.record(decision_from_json(d));
-  }
-  if (const auto* contexts = snapshot.find("contexts")) {
-    for (const auto& c : contexts->as_array()) {
-      log.record_context(context_from_json(c));
-    }
-  }
-  // Commit only after the whole snapshot parsed (strong exception safety).
-  // Rebuilding through get_or_create re-establishes tiering naturally: once
-  // the hot tier fills, earlier-imported profiles demote to the spill file.
+  import_state(std::move(
+      read_state(snapshot.dump(), 1, [](const std::string&) { return 0; })
+          .front()));
+}
+
+void OakServer::import_state(StatePart part) {
   // The holder index is rebuilt from the imported state: every uid under
   // every rule id it holds anything for (profiles arrive in uid order).
   holders_.clear();
   std::vector<int> held;
-  for (const UserProfile& p : profiles) {
+  for (const UserProfile& p : part.profiles) {
     held.clear();
     for (const auto& [id, ar] : p.active) held.push_back(id);
     for (const auto& [id, n] : p.pending_violations) held.push_back(id);
@@ -187,14 +328,15 @@ void OakServer::import_state(const util::Json& snapshot) {
     held.erase(std::unique(held.begin(), held.end()), held.end());
     for (int id : held) holders_[id].push_back(p.user_id);
   }
+  // Rebuilding through get_or_create re-establishes tiering naturally: once
+  // the hot tier fills, earlier-imported profiles demote to the spill file.
   users_.clear();
-  for (UserProfile& p : profiles) {
+  for (UserProfile& p : part.profiles) {
     users_.get_or_create(p.user_id, 0.0) = std::move(p);
   }
-  log_ = std::move(log);
-  next_user_ = static_cast<std::size_t>(snapshot.at("next_user").as_int());
-  reports_processed_ =
-      static_cast<std::size_t>(snapshot.at("reports_processed").as_int());
+  log_ = std::move(part.log);
+  next_user_ = part.next_user;
+  reports_processed_ = part.reports_processed;
   // The engine's racing aggregates are derived state: rebuild them from the
   // imported profiles so a recovered server races (and declares winners)
   // exactly as the original would have.

@@ -126,11 +126,7 @@ void ShardedOakServer::enable_durability_() {
 
   // 2. Snapshot state (legacy: a bare pre-journal export_state document —
   // state restored, no suffix to replay, rules are operator configuration).
-  if (su.have_snapshot && !su.legacy) {
-    import_state(su.snapshot.state);
-  } else if (su.legacy) {
-    import_state(su.legacy_state);
-  }
+  if (su.have_snapshot) import_state_(su.snapshot.state());
 
   // 3. Parallel per-shard replay. Construction is single-threaded and each
   // replay thread touches only its own shard's OakServer, so no locks.
@@ -351,7 +347,7 @@ http::Response ShardedOakServer::handle_for_user(const http::Request& req,
     try {
       compact();
     } catch (...) {
-      compact_failures_.fetch_add(1, std::memory_order_relaxed);
+      // Counted by compact(); the request that tripped it still succeeds.
     }
   }
   return resp;
@@ -445,60 +441,25 @@ std::size_t ShardedOakServer::decision_count(DecisionType t) const {
 }
 
 util::Json ShardedOakServer::export_state() const {
+  return util::Json::parse(state_bytes_());
+}
+
+std::string ShardedOakServer::state_bytes_() const {
   std::shared_lock<std::shared_mutex> rules_lock(rules_mu_);
-  // Lock every shard (index order) for one consistent cut, then merge the
-  // per-shard snapshots into OakServer's schema.
+  // Lock every shard (index order) for one consistent cut.
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) locks.push_back(lock_shard(*shard));
-  return export_state_locked();
+  util::JsonWriter w;
+  write_state_locked_(w);
+  return w.take();
 }
 
-util::Json ShardedOakServer::export_state_locked() const {
-  util::Json merged = shards_[0]->server->export_state();
-  util::JsonObject& users = merged["users"].as_object();
-  util::JsonArray& log = merged["log"].as_array();
-  // Replay contexts, present only when recorded, merge like the log.
-  util::JsonArray contexts;
-  auto take_contexts = [&contexts](util::Json& part) {
-    util::JsonObject& o = part.as_object();
-    auto it = o.find("contexts");
-    if (it == o.end()) return;
-    for (auto& c : it->second.as_array()) contexts.push_back(std::move(c));
-    o.erase(it);
-  };
-  take_contexts(merged);
-  std::size_t reports = shards_[0]->server->reports_processed();
-  for (std::size_t i = 1; i < shards_.size(); ++i) {
-    util::Json part = shards_[i]->server->export_state();
-    for (auto& [uid, u] : part["users"].as_object()) {
-      users[uid] = std::move(u);
-    }
-    for (auto& d : part["log"].as_array()) log.push_back(std::move(d));
-    take_contexts(part);
-    reports += shards_[i]->server->reports_processed();
-  }
-  auto by_time = [](const util::Json& a, const util::Json& b) {
-    return a.at("t").as_number() < b.at("t").as_number();
-  };
-  std::stable_sort(log.begin(), log.end(), by_time);
-  if (!contexts.empty()) {
-    std::stable_sort(contexts.begin(), contexts.end(), by_time);
-    merged["contexts"] = std::move(contexts);
-  }
-  merged["reports_processed"] = reports;
-  merged["next_user"] = next_user_.load();
-  return merged;
-}
-
-durability::SnapshotEnvelope ShardedOakServer::make_envelope_locked() const {
-  durability::SnapshotEnvelope env;
-  for (const Rule& r : shards_[0]->server->rules()) {
-    env.rules.push_back({r.id, format_rules({r})});
-  }
-  env.next_rule_id = shards_[0]->server->next_rule_id();
-  env.state = export_state_locked();
-  return env;
+void ShardedOakServer::write_state_locked_(util::JsonWriter& w) const {
+  std::vector<const OakServer*> servers;
+  servers.reserve(shards_.size());
+  for (const auto& shard : shards_) servers.push_back(shard->server.get());
+  write_state(w, servers, next_user_.load(), /*by_time=*/true);
 }
 
 void ShardedOakServer::compact() {
@@ -510,52 +471,42 @@ void ShardedOakServer::compact() {
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(shards_.size());
   for (const auto& shard : shards_) locks.push_back(lock_shard(*shard));
-  if (dur_ && dur_->recording()) dur_->compact(make_envelope_locked());
-  // The snapshot cut is also the natural moment to fold the cold spill
-  // files: dead records (stale demotions) are dropped alongside the
-  // journal's, under the same consistent cut.
-  if (tiered) {
-    for (const auto& shard : shards_) shard->server->compact_user_store();
+  try {
+    if (dur_ && dur_->recording()) {
+      durability::SnapshotEnvelope env;
+      for (const Rule& r : shards_[0]->server->rules()) {
+        env.rules.push_back({r.id, format_rules({r})});
+      }
+      env.next_rule_id = shards_[0]->server->next_rule_id();
+      dur_->compact(env, [this](util::JsonWriter& w) {
+        write_state_locked_(w);
+      });
+    }
+    // The snapshot cut is also the natural moment to fold the cold spill
+    // files: dead records (stale demotions) are dropped alongside the
+    // journal's, under the same consistent cut.
+    if (tiered) {
+      for (const auto& shard : shards_) shard->server->compact_user_store();
+    }
+  } catch (...) {
+    compact_failures_.fetch_add(1, std::memory_order_relaxed);
+    throw;
   }
 }
 
 void ShardedOakServer::import_state(const util::Json& snapshot) {
+  import_state_(snapshot.dump());
+}
+
+void ShardedOakServer::import_state_(std::string_view doc) {
+  // Decoding validates everything before any shard commits.
+  std::vector<StatePart> parts =
+      read_state(doc, shards_.size(),
+                 [this](const std::string& uid) { return shard_for(uid); });
   std::unique_lock<std::shared_mutex> rules_lock(rules_mu_);
-  // Partition the snapshot by user hash. All reads of `snapshot` (and thus
-  // all schema validation that could throw here) happen before any shard
-  // commits.
-  const auto& users = snapshot.at("users").as_object();
-  const auto& log = snapshot.at("log").as_array();
-  const std::size_t next_user =
-      static_cast<std::size_t>(snapshot.at("next_user").as_int());
-  const auto total_reports = snapshot.at("reports_processed").as_int();
-
-  std::vector<util::JsonObject> shard_users(shards_.size());
-  std::vector<util::JsonArray> shard_logs(shards_.size());
-  std::vector<util::JsonArray> shard_contexts(shards_.size());
-  for (const auto& [uid, u] : users) shard_users[shard_for(uid)][uid] = u;
-  for (const auto& d : log) {
-    shard_logs[shard_for(d.at("user").as_string())].push_back(d);
-  }
-  if (const util::Json* contexts = snapshot.find("contexts")) {
-    for (const auto& c : contexts->as_array()) {
-      shard_contexts[shard_for(c.at("user").as_string())].push_back(c);
-    }
-  }
-
+  const std::size_t next_user = parts.front().next_user;
   for (std::size_t i = 0; i < shards_.size(); ++i) {
-    util::JsonObject part;
-    part["version"] = snapshot.at("version");
-    part["site"] = site_host_;
-    part["next_user"] = next_user;
-    // The aggregate counter lives on shard 0 so the fleet-wide sum is exact.
-    part["reports_processed"] = i == 0 ? total_reports : 0;
-    part["users"] = std::move(shard_users[i]);
-    part["log"] = std::move(shard_logs[i]);
-    if (!shard_contexts[i].empty()) {
-      part["contexts"] = std::move(shard_contexts[i]);
-    }
-    shards_[i]->server->import_state(util::Json(std::move(part)));
+    shards_[i]->server->import_state(std::move(parts[i]));
   }
   next_user_.store(next_user);
 }
@@ -563,7 +514,7 @@ void ShardedOakServer::import_state(const util::Json& snapshot) {
 SiteAnalytics ShardedOakServer::audit(std::optional<double> now) const {
   // Materialize the merged state into a scratch single-threaded server and
   // audit that — SiteAnalytics stays a pure function of one OakServer.
-  util::Json snapshot = export_state();
+  const std::string state = state_bytes_();
   // The scratch server is untiered regardless of cfg_: it exists for one
   // read-only pass over the merged state, and spinning up spill files to
   // then fault every profile back out of them would serve nothing.
@@ -571,7 +522,8 @@ SiteAnalytics ShardedOakServer::audit(std::optional<double> now) const {
   scratch_cfg.user_store = UserStoreConfig{};
   OakServer scratch(universe_, site_host_, scratch_cfg);
   for (const Rule& r : rules()) scratch.add_rule(r);
-  scratch.import_state(snapshot);
+  scratch.import_state(std::move(
+      read_state(state, 1, [](const std::string&) { return 0; }).front()));
   SiteAnalytics analytics(scratch, now);
 
   // The legacy counters struct is now a projection of the merged registry.

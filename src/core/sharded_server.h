@@ -103,7 +103,9 @@ class ShardedOakServer {
   std::size_t decision_count(DecisionType t) const;
 
   // Consistent point-in-time snapshot in OakServer's schema — importable by
-  // a single OakServer or by a ShardedOakServer with any shard count.
+  // a single OakServer or by a ShardedOakServer with any shard count. The
+  // parsed view of the same streamed bytes compaction writes; import
+  // decodes the dump() of one, partitioning it by shard_for.
   util::Json export_state() const;
   void import_state(const util::Json& snapshot);
 
@@ -139,7 +141,11 @@ class ShardedOakServer {
 
   // --- Durability (no-ops unless cfg.durability.enabled).
   // Snapshot + journal truncation under a consistent all-shard cut. Safe to
-  // call concurrently with the request plane; redundant calls coalesce.
+  // call concurrently with the request plane; redundant calls coalesce. The
+  // snapshot streams from the shards to its file, so the pause costs the
+  // serialization time but no copy of the state. Throws when the snapshot
+  // cannot be written (counted in oak_compact_failures_total); the previous
+  // manifest and snapshot then stay authoritative.
   void compact();
   // What recovery did at construction (performed=false when disabled).
   durability::RecoveryReport recovery_report() const {
@@ -162,10 +168,14 @@ class ShardedOakServer {
   // Recovery at construction: startup() → rules + state import → parallel
   // per-shard replay → start_recording() (+ baseline compact on bootstrap).
   void enable_durability_();
-  // Merge bodies for callers that already hold the shared rule lock and
-  // every shard lock in index order.
-  util::Json export_state_locked() const;
-  durability::SnapshotEnvelope make_envelope_locked() const;
+  // Streams the merged state document; the caller holds the shared rule
+  // lock and every shard lock in index order.
+  void write_state_locked_(util::JsonWriter& w) const;
+  // The merged state document, under a consistent all-shard cut.
+  std::string state_bytes_() const;
+  // Decodes a state document and commits it, shard by shard, only after
+  // all of it decoded.
+  void import_state_(std::string_view doc);
 
   page::WebUniverse& universe_;
   std::string site_host_;
@@ -180,9 +190,10 @@ class ShardedOakServer {
   // Coalesces threshold-triggered compactions: the request thread that wins
   // the exchange runs compact(); everyone else keeps serving.
   std::atomic<bool> compacting_{false};
-  // Compactions that threw (disk full, fsync failure). The flag reset is
-  // RAII-scoped so a throwing compaction can't wedge compacting_ true and
-  // silently disable compaction for the rest of the process.
+  // Compactions that threw (disk full, fsync failure), threshold-triggered
+  // or explicit. The compacting_ reset is RAII-scoped so a throwing
+  // compaction can't wedge it true and silently disable compaction for the
+  // rest of the process.
   std::atomic<std::uint64_t> compact_failures_{0};
 };
 

@@ -498,37 +498,40 @@ TieredUserStore::collect_cold_() const {
   return out;
 }
 
+TieredUserStore::SortedCursor TieredUserStore::sorted() const {
+  SortedCursor c;
+  c.store_ = this;
+  c.entries_.reserve(size());
+  for (std::size_t s = 0; s < slots_.size(); ++s) {
+    if (live_[s]) c.entries_.push_back({slots_[s].user_id, s, true});
+  }
+  if (tiered() && cold_count_ > 0) {
+    c.cold_ = collect_cold_();
+    for (const auto& [uid, off] : c.cold_) {
+      c.entries_.push_back({uid, off, false});
+    }
+  }
+  std::sort(c.entries_.begin(), c.entries_.end(),
+            [](const SortedCursor::Entry& a, const SortedCursor::Entry& b) {
+              return a.uid < b.uid;
+            });
+  return c;
+}
+
+const UserProfile& TieredUserStore::SortedCursor::profile() {
+  const Entry& e = entries_[i_];
+  if (e.hot) return store_->slots_[std::size_t(e.slot_or_off)];
+  ColdRecord rec;
+  if (!store_->read_record_(e.slot_or_off, rec)) throw_corrupt();
+  scratch_ = UserProfile{};
+  if (!decode_profile(rec.blob, scratch_)) throw_corrupt();
+  scratch_.user_id.assign(e.uid);
+  return scratch_;
+}
+
 void TieredUserStore::for_each_sorted(
     const std::function<void(const UserProfile&)>& fn) const {
-  struct Entry {
-    std::string_view uid;
-    std::uint64_t slot_or_off = 0;
-    bool hot = false;
-  };
-  std::vector<Entry> entries;
-  entries.reserve(size());
-  for (std::size_t s = 0; s < slots_.size(); ++s) {
-    if (live_[s]) entries.push_back({slots_[s].user_id, s, true});
-  }
-  std::vector<std::pair<std::string, std::uint64_t>> cold;
-  if (tiered() && cold_count_ > 0) {
-    cold = collect_cold_();
-    for (const auto& [uid, off] : cold) entries.push_back({uid, off, false});
-  }
-  std::sort(entries.begin(), entries.end(),
-            [](const Entry& a, const Entry& b) { return a.uid < b.uid; });
-  for (const Entry& e : entries) {
-    if (e.hot) {
-      fn(slots_[std::size_t(e.slot_or_off)]);
-      continue;
-    }
-    ColdRecord rec;
-    if (!read_record_(e.slot_or_off, rec)) throw_corrupt();
-    UserProfile tmp;
-    if (!decode_profile(rec.blob, tmp)) throw_corrupt();
-    tmp.user_id.assign(e.uid);
-    fn(tmp);
-  }
+  for (SortedCursor c = sorted(); !c.done(); c.advance()) fn(c.profile());
 }
 
 void TieredUserStore::for_each_of_mut(

@@ -194,6 +194,34 @@ class TieredUserStore {
   // profiles are materialized transiently, without promotion.
   void for_each_sorted(
       const std::function<void(const UserProfile&)>& fn) const;
+  // The same visit in pull form, so several stores can be merged into one
+  // uid order (the sharded snapshot stream). Reads the store without
+  // changing it, and is valid until the next store mutation.
+  class SortedCursor {
+   public:
+    SortedCursor(SortedCursor&&) = default;
+    bool done() const { return i_ == entries_.size(); }
+    std::string_view uid() const { return entries_[i_].uid; }
+    // The current profile; a cold one is decoded into the cursor's
+    // scratch, valid until the next call.
+    const UserProfile& profile();
+    void advance() { ++i_; }
+
+   private:
+    friend class TieredUserStore;
+    SortedCursor() = default;
+    struct Entry {
+      std::string_view uid;  // into a hot slot or cold_
+      std::uint64_t slot_or_off = 0;
+      bool hot = false;
+    };
+    const TieredUserStore* store_ = nullptr;
+    std::vector<Entry> entries_;
+    std::vector<std::pair<std::string, std::uint64_t>> cold_;
+    std::size_t i_ = 0;
+    UserProfile scratch_;
+  };
+  SortedCursor sorted() const;
   // Mutating visit of the named profiles only, in the order given (rule
   // retirement passes its holders ascending, the order for_each_sorted
   // would reach them). Hot profiles change in place; cold ones are read

@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <sstream>
 
+#include "util/json_stream.h"
+
 namespace oak::util {
 
 bool Json::as_bool() const {
@@ -70,6 +72,11 @@ Json& Json::operator[](const std::string& key) {
 std::string json_escape(const std::string& s) {
   std::string out;
   out.reserve(s.size() + 8);
+  json_escape_into(out, s);
+  return out;
+}
+
+void json_escape_into(std::string& out, std::string_view s) {
   for (unsigned char c : s) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -89,77 +96,9 @@ std::string json_escape(const std::string& s) {
         }
     }
   }
-  return out;
 }
 
 namespace {
-
-void write_number(std::string& out, double d) {
-  if (std::isnan(d) || std::isinf(d)) {
-    out += "null";  // JSON has no NaN/Inf; reports never produce them.
-    return;
-  }
-  // Integral values print without a fractional part for compactness.
-  if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    out += buf;
-    return;
-  }
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.12g", d);
-  out += buf;
-}
-
-void dump_impl(const Json& j, std::string& out, int indent, int depth);
-
-void write_indent(std::string& out, int indent, int depth) {
-  if (indent <= 0) return;
-  out += '\n';
-  out.append(static_cast<std::size_t>(indent * depth), ' ');
-}
-
-void dump_impl(const Json& j, std::string& out, int indent, int depth) {
-  if (j.is_null()) {
-    out += "null";
-  } else if (j.is_bool()) {
-    out += j.as_bool() ? "true" : "false";
-  } else if (j.is_number()) {
-    write_number(out, j.as_number());
-  } else if (j.is_string()) {
-    out += '"';
-    out += json_escape(j.as_string());
-    out += '"';
-  } else if (j.is_array()) {
-    const auto& a = j.as_array();
-    out += '[';
-    bool first = true;
-    for (const auto& e : a) {
-      if (!first) out += ',';
-      first = false;
-      write_indent(out, indent, depth + 1);
-      dump_impl(e, out, indent, depth + 1);
-    }
-    if (!a.empty()) write_indent(out, indent, depth);
-    out += ']';
-  } else {
-    const auto& o = j.as_object();
-    out += '{';
-    bool first = true;
-    for (const auto& [k, v] : o) {
-      if (!first) out += ',';
-      first = false;
-      write_indent(out, indent, depth + 1);
-      out += '"';
-      out += json_escape(k);
-      out += "\":";
-      if (indent > 0) out += ' ';
-      dump_impl(v, out, indent, depth + 1);
-    }
-    if (!o.empty()) write_indent(out, indent, depth);
-    out += '}';
-  }
-}
 
 class Parser {
  public:
@@ -383,16 +322,12 @@ class Parser {
 
 }  // namespace
 
-std::string Json::dump() const {
-  std::string out;
-  dump_impl(*this, out, /*indent=*/0, /*depth=*/0);
-  return out;
-}
+std::string Json::dump() const { return dump_pretty(0); }
 
 std::string Json::dump_pretty(int indent) const {
-  std::string out;
-  dump_impl(*this, out, indent, 0);
-  return out;
+  JsonWriter w(nullptr, indent);
+  w.value(*this);
+  return w.take();
 }
 
 Json Json::parse(const std::string& text) { return Parser(text).parse(); }

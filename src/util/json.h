@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -75,6 +76,7 @@ class Json {
   Json& operator[](const std::string& key);
 
   // Compact serialization (no whitespace) — the wire format of reports.
+  // Both forms are a walk through util::JsonWriter (util/json_stream.h).
   std::string dump() const;
   // Pretty serialization for logs and golden files.
   std::string dump_pretty(int indent = 2) const;
@@ -93,5 +95,7 @@ class Json {
 
 // Escape a string per JSON rules (quotes not included).
 std::string json_escape(const std::string& s);
+// Same, appended to `out` (util::JsonWriter's string escape).
+void json_escape_into(std::string& out, std::string_view s);
 
 }  // namespace oak::util

@@ -2,6 +2,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 
 namespace oak::util {
@@ -275,23 +276,205 @@ void JsonScanner::skip_value() {
   }
 }
 
-void scan_json(std::string_view text, JsonSink& sink) {
-  JsonScanner scanner(text);
-  for (JsonEvent e = scanner.next(); e != JsonEvent::kEnd;
-       e = scanner.next()) {
-    switch (e) {
-      case JsonEvent::kBeginObject: sink.on_begin_object(); break;
-      case JsonEvent::kEndObject: sink.on_end_object(); break;
-      case JsonEvent::kBeginArray: sink.on_begin_array(); break;
-      case JsonEvent::kEndArray: sink.on_end_array(); break;
-      case JsonEvent::kKey: sink.on_key(scanner.text()); break;
-      case JsonEvent::kString: sink.on_string(scanner.text()); break;
-      case JsonEvent::kNumber: sink.on_number(scanner.number()); break;
-      case JsonEvent::kBool: sink.on_bool(scanner.boolean()); break;
-      case JsonEvent::kNull: sink.on_null(); break;
-      case JsonEvent::kEnd: break;
-    }
+namespace {
+
+// dump()'s number format: integral values as %lld, others as %.12g,
+// NaN/Inf as null.
+void write_number(std::string& out, double d) {
+  if (std::isnan(d) || std::isinf(d)) {
+    out += "null";  // JSON has no NaN/Inf; reports never produce them.
+    return;
   }
+  // Integral values print without a fractional part for compactness.
+  if (d == std::floor(d) && std::fabs(d) < 9.007199254740992e15) {
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+    out += buf;
+    return;
+  }
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.12g", d);
+  out += buf;
+}
+
+}  // namespace
+
+void JsonWriter::newline(std::size_t depth) {
+  if (indent_ <= 0) return;
+  buf_ += '\n';
+  buf_.append(std::size_t(indent_) * depth, ' ');
+}
+
+void JsonWriter::before_value() {
+  if (after_key_) {
+    after_key_ = false;
+    return;
+  }
+  if (nonempty_.empty()) return;
+  if (nonempty_.back()) buf_ += ',';
+  nonempty_.back() = true;
+  newline(nonempty_.size());
+}
+
+void JsonWriter::open(char c) {
+  before_value();
+  buf_ += c;
+  nonempty_.push_back(false);
+}
+
+void JsonWriter::close(char c) {
+  const bool had_elements = nonempty_.back();
+  nonempty_.pop_back();
+  if (had_elements) newline(nonempty_.size());
+  buf_ += c;
+  if (f_ != nullptr && buf_.size() >= kChunk) flush();
+}
+
+void JsonWriter::key(std::string_view k) {
+  before_value();
+  buf_ += '"';
+  json_escape_into(buf_, k);
+  buf_ += indent_ > 0 ? "\": " : "\":";
+  after_key_ = true;
+}
+
+void JsonWriter::string(std::string_view s) {
+  before_value();
+  buf_ += '"';
+  json_escape_into(buf_, s);
+  buf_ += '"';
+}
+
+void JsonWriter::number(double d) {
+  before_value();
+  write_number(buf_, d);
+}
+
+void JsonWriter::boolean(bool b) {
+  before_value();
+  buf_ += b ? "true" : "false";
+}
+
+void JsonWriter::null() {
+  before_value();
+  buf_ += "null";
+}
+
+void JsonWriter::value(const Json& j) {
+  if (j.is_null()) {
+    null();
+  } else if (j.is_bool()) {
+    boolean(j.as_bool());
+  } else if (j.is_number()) {
+    number(j.as_number());
+  } else if (j.is_string()) {
+    string(j.as_string());
+  } else if (j.is_array()) {
+    begin_array();
+    for (const Json& e : j.as_array()) value(e);
+    end_array();
+  } else {
+    begin_object();
+    for (const auto& [k, v] : j.as_object()) {
+      key(k);
+      value(v);
+    }
+    end_object();
+  }
+}
+
+bool JsonWriter::flush() {
+  if (f_ == nullptr || buf_.empty()) return ok_;
+  ok_ = ok_ && std::fwrite(buf_.data(), 1, buf_.size(), f_) == buf_.size();
+  flushed_ += buf_.size();
+  buf_.clear();
+  return ok_;
+}
+
+JsonEvent JsonReader::peek() {
+  if (!peeked_) {
+    ev_ = s_.next();
+    peeked_ = true;
+  }
+  return ev_;
+}
+
+JsonEvent JsonReader::take() {
+  const JsonEvent e = peek();
+  peeked_ = false;
+  return e;
+}
+
+void JsonReader::fail(const std::string& why) const {
+  throw JsonError("json: " + why + " at offset " +
+                  std::to_string(s_.offset()));
+}
+
+void JsonReader::expect(JsonEvent e, const char* what) {
+  if (take() != e) fail(std::string("expected ") + what);
+}
+
+bool JsonReader::has(std::string_view name) {
+  while (peek() == JsonEvent::kKey) {
+    const std::string_view key = s_.text();
+    if (key == name) {
+      take();
+      return true;
+    }
+    if (key > name) return false;
+    take();
+    skip();
+  }
+  return false;
+}
+
+void JsonReader::want(std::string_view name) {
+  if (!has(name)) fail("missing key '" + std::string(name) + "'");
+}
+
+bool JsonReader::next_key(std::string_view& name) {
+  if (peek() != JsonEvent::kKey) return false;
+  name = s_.text();
+  take();
+  return true;
+}
+
+bool JsonReader::more() {
+  if (peek() != JsonEvent::kEndArray) return true;
+  take();
+  return false;
+}
+
+void JsonReader::end_object() {
+  while (peek() == JsonEvent::kKey) {
+    take();
+    skip();
+  }
+  expect(JsonEvent::kEndObject, "'}'");
+}
+
+double JsonReader::number() {
+  expect(JsonEvent::kNumber, "a number");
+  return s_.number();
+}
+
+std::int64_t JsonReader::integer() { return std::llround(number()); }
+
+bool JsonReader::boolean() {
+  expect(JsonEvent::kBool, "a bool");
+  return s_.boolean();
+}
+
+std::string JsonReader::string() {
+  expect(JsonEvent::kString, "a string");
+  return std::string(s_.text());
+}
+
+void JsonReader::skip() {
+  const JsonEvent e = take();
+  if (e != JsonEvent::kBeginObject && e != JsonEvent::kBeginArray) return;
+  const std::size_t outer = s_.depth() - 1;
+  while (s_.depth() > outer) s_.next();
 }
 
 }  // namespace oak::util

@@ -23,8 +23,11 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "util/json.h"
 
@@ -117,24 +120,128 @@ class JsonScanner {
   std::string scratch_;  // decoded escaped strings live here
 };
 
-// Minimal callback interface over the scanner, for consumers that prefer
-// push-style events to the pull API.
-class JsonSink {
+// The writing half, and the one JSON serializer: Json::dump() and
+// dump_pretty() are a DOM walk through it (value()), and streaming callers
+// emit token by token with the same bytes, provided they emit each
+// object's members in JsonObject (byte-wise std::string) key order. Commas,
+// colons and indentation are placed for the caller. Without a file the
+// document accumulates in memory (take()); with one, it is written through
+// in 64 KiB chunks, so a document of any size costs one buffer.
+class JsonWriter {
  public:
-  virtual ~JsonSink() = default;
-  virtual void on_begin_object() {}
-  virtual void on_end_object() {}
-  virtual void on_begin_array() {}
-  virtual void on_end_array() {}
-  virtual void on_key(std::string_view) {}
-  virtual void on_string(std::string_view) {}
-  virtual void on_number(double) {}
-  virtual void on_bool(bool) {}
-  virtual void on_null() {}
+  // `indent` > 0 lays the document out as dump_pretty(indent) does.
+  explicit JsonWriter(std::FILE* f = nullptr, int indent = 0)
+      : f_(f), indent_(indent) {}
+
+  void begin_object() { open('{'); }
+  void end_object() { close('}'); }
+  void begin_array() { open('['); }
+  void end_array() { close(']'); }
+  void key(std::string_view k);
+  void string(std::string_view s);
+  void number(double d);
+  void boolean(bool b);
+  void null();
+  void value(const Json& j);  // a whole DOM value
+  // key() then the value.
+  void member(std::string_view k, double d) {
+    key(k);
+    number(d);
+  }
+  void member(std::string_view k, std::string_view s) {
+    key(k);
+    string(s);
+  }
+
+  // Writes the buffered bytes to the file. False once any write failed.
+  bool flush();
+  // Bytes emitted so far, flushed or not.
+  std::uint64_t bytes() const { return flushed_ + buf_.size(); }
+  // The document (in-memory mode).
+  std::string take() { return std::move(buf_); }
+
+ private:
+  void before_value();
+  void newline(std::size_t depth);
+  void open(char c);
+  void close(char c);
+
+  static constexpr std::size_t kChunk = 64 * 1024;
+  std::FILE* f_ = nullptr;
+  int indent_ = 0;
+  std::string buf_;
+  std::uint64_t flushed_ = 0;
+  bool ok_ = true;
+  bool after_key_ = false;
+  // One entry per open container: whether it has an element yet.
+  std::vector<bool> nonempty_;
 };
 
-// Drive `sink` over one complete JSON document. Throws JsonError exactly
-// where Json::parse would.
-void scan_json(std::string_view text, JsonSink& sink);
+// Typed pull reading over the scanner, for documents whose object members
+// come in JsonObject (byte-wise key) order — everything Json::dump() and
+// JsonWriter write. A decoder names the members it wants in that order, so
+// it mirrors its writer line by line: has() and the named readers skip
+// unknown members that sort before the wanted one and report a wanted one
+// that is absent. Errors are JsonError naming the byte offset; nesting is
+// bounded by the scanner's kMaxJsonDepth.
+class JsonReader {
+ public:
+  explicit JsonReader(std::string_view doc) : s_(doc) {}
+
+  // Advances to member `name` of the open object: true when present (its
+  // value comes next), false when absent.
+  bool has(std::string_view name);
+  // has(), or throws naming the missing member.
+  void want(std::string_view name);
+  // The next member name of the open object, whatever it is; false when
+  // none is left. Valid until the next string is read.
+  bool next_key(std::string_view& name);
+  // Inside an open array: true while an element follows; false, having
+  // consumed the ']', at its end.
+  bool more();
+
+  void begin_object() { expect(JsonEvent::kBeginObject, "an object"); }
+  // Skips the members left, then consumes the '}'.
+  void end_object();
+  void begin_array() { expect(JsonEvent::kBeginArray, "an array"); }
+  double number();
+  // A number rounded to the nearest integer, as Json::as_int reads it.
+  std::int64_t integer();
+  bool boolean();
+  std::string string();
+  void skip();  // one whole value
+  // The document must end here.
+  void end() { expect(JsonEvent::kEnd, "the end of the document"); }
+
+  // want(name), then its value.
+  double number(std::string_view name) {
+    want(name);
+    return number();
+  }
+  std::int64_t integer(std::string_view name) {
+    want(name);
+    return integer();
+  }
+  bool boolean(std::string_view name) {
+    want(name);
+    return boolean();
+  }
+  std::string string(std::string_view name) {
+    want(name);
+    return string();
+  }
+
+  std::size_t offset() const { return s_.offset(); }
+  [[noreturn]] void fail(const std::string& why) const;
+
+ private:
+  JsonEvent peek();
+  JsonEvent take();
+  void expect(JsonEvent e, const char* what);
+
+  JsonScanner s_;
+  JsonEvent ev_ = JsonEvent::kEnd;
+  bool peeked_ = false;
+};
 
 }  // namespace oak::util

@@ -1007,7 +1007,16 @@ http::Response Server::route(const DispatchItem& item) {
   }
   if (p == "/admin/compact") {
     if (m != Method::kPost) return method_not_allowed("POST");
-    oak_.compact();
+    try {
+      oak_.compact();
+    } catch (const std::exception& e) {
+      // Counted in oak_compact_failures_total; the previous manifest and
+      // snapshot stay authoritative, so retrying later is safe.
+      http::Response resp = http::Response::text(
+          std::string("compaction failed: ") + e.what(), 503);
+      resp.headers.set("Retry-After", std::to_string(cfg_.retry_after_s));
+      return resp;
+    }
     return http::Response::json("{\"compacted\":true}");
   }
   if (p.rfind("/admin/", 0) == 0) {

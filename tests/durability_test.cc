@@ -448,6 +448,17 @@ TEST_F(DurabilityFixture, JournalMetricsAreExported) {
   EXPECT_EQ(snap.counters.at("oak_journal_compactions_total"), 1u);
   ASSERT_TRUE(snap.histograms.count("oak_journal_append_bytes"));
   EXPECT_GT(snap.histograms.at("oak_journal_append_bytes").count(), 0u);
+  // Compaction cost: one timed pass (the bootstrap), and the size of the
+  // snapshot it wrote.
+  ASSERT_TRUE(snap.histograms.count("oak_journal_compact_seconds"));
+  EXPECT_EQ(snap.histograms.at("oak_journal_compact_seconds").count(), 1u);
+  EXPECT_EQ(snap.gauges.at("oak_journal_snapshot_bytes"),
+            double(fs::file_size(dir_ / "snapshot-1.json")));
+  durable.compact();
+  const auto after = durable.metrics_snapshot();
+  EXPECT_EQ(after.histograms.at("oak_journal_compact_seconds").count(), 2u);
+  EXPECT_EQ(after.gauges.at("oak_journal_snapshot_bytes"),
+            double(fs::file_size(dir_ / "snapshot-2.json")));
 
   // With metrics off the journal still works, it just reports nothing.
   OakConfig quiet = durable_config();

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstdio>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -188,40 +191,193 @@ TEST(JsonScanner, ErrorsMirrorDomParser) {
   }
 }
 
-// --- JsonSink push API.
+// --- JsonWriter: the one serializer (dump() walks the DOM through it).
 
-class Collector : public JsonSink {
- public:
-  void on_begin_object() override { events.push_back("{"); }
-  void on_end_object() override { events.push_back("}"); }
-  void on_begin_array() override { events.push_back("["); }
-  void on_end_array() override { events.push_back("]"); }
-  void on_key(std::string_view k) override {
-    events.push_back("K:" + std::string(k));
-  }
-  void on_string(std::string_view v) override {
-    events.push_back("S:" + std::string(v));
-  }
-  void on_number(double d) override {
-    events.push_back("N:" + std::to_string(d));
-  }
-  void on_bool(bool b) override { events.push_back(b ? "T" : "F"); }
-  void on_null() override { events.push_back("0"); }
-
-  std::vector<std::string> events;
-};
-
-TEST(JsonSink, ReceivesAllEvents) {
-  Collector c;
-  scan_json(R"({"a":[1,true,null],"b":"x"})", c);
-  const std::vector<std::string> want = {"{", "K:a", "[", "N:1.000000", "T",
-                                         "0", "]", "K:b", "S:x", "}"};
-  EXPECT_EQ(c.events, want);
+std::string random_string(std::mt19937& rng) {
+  // Plain, escaped, control and UTF-8 bytes.
+  static const std::vector<std::string> pieces = {
+      "a", "Z", "9", " ", "\"", "\\", "/", "\n", "\t", "\x01", "\x1f",
+      "\x7f", "\xc3\xa9", "\xe2\x82\xac", "\xf0\x9f\x98\x80", "10", "2"};
+  std::string out;
+  for (unsigned n = rng() % 6; n > 0; --n) out += pieces[rng() % pieces.size()];
+  return out;
 }
 
-TEST(JsonSink, PropagatesErrors) {
-  Collector c;
-  EXPECT_THROW(scan_json("[1,", c), JsonError);
+double random_number(std::mt19937& rng) {
+  switch (rng() % 7) {
+    case 0: return double(int(rng() % 2001) - 1000);
+    case 1: return double(rng()) * 1e6;  // integral, past %lld's cutoff
+    case 2: return (double(rng()) - 2e9) / 7.0;
+    case 3: return std::ldexp(double(rng() % 1000 + 1), -int(rng() % 60));
+    case 4: return 1e300 * double(rng() % 10);
+    case 5: return -0.0;
+    default: return double(rng()) / double(rng() % 1000 + 1);
+  }
+}
+
+Json random_json(std::mt19937& rng, int depth) {
+  const unsigned kind = depth >= 4 ? rng() % 3 : rng() % 5;
+  switch (kind) {
+    case 0: return Json(random_number(rng));
+    case 1: return Json(random_string(rng));
+    case 2: return rng() % 2 ? Json(rng() % 2 == 0) : Json(random_number(rng));
+    case 3: {
+      JsonArray a;
+      for (unsigned n = rng() % 5; n > 0; --n) {
+        a.push_back(random_json(rng, depth + 1));
+      }
+      return Json(std::move(a));
+    }
+    default: {
+      JsonObject o;
+      for (unsigned n = rng() % 5; n > 0; --n) {
+        o[random_string(rng)] = random_json(rng, depth + 1);
+      }
+      return Json(std::move(o));
+    }
+  }
+}
+
+TEST(JsonWriter, RandomDocumentsAreParseDumpFixedPoints) {
+  std::mt19937 rng(24);
+  for (int i = 0; i < 2000; ++i) {
+    const std::string bytes = random_json(rng, 0).dump();
+    ASSERT_EQ(Json::parse(bytes).dump(), bytes) << i;
+  }
+}
+
+// Token-by-token emission is byte-identical to dump() of the same DOM.
+TEST(JsonWriter, StreamedTokensMatchDump) {
+  JsonWriter w;
+  w.begin_object();
+  w.member("a", 1.5);
+  w.key("b");
+  w.begin_array();
+  w.boolean(false);
+  w.null();
+  w.string("q\"\\\x01\xc3\xa9");
+  w.begin_object();
+  w.end_object();
+  w.end_array();
+  w.member("c", 12345678901234567.0);
+  w.end_object();
+  JsonObject o;
+  o["a"] = 1.5;
+  o["b"] = JsonArray{Json(false), Json(), Json("q\"\\\x01\xc3\xa9"),
+                     Json(JsonObject{})};
+  o["c"] = 12345678901234567.0;
+  EXPECT_EQ(w.take(), Json(o).dump());
+}
+
+TEST(JsonWriter, PrettyLayout) {
+  const Json doc = Json::parse(R"({"a":[1,{}],"b":{"c":"x"},"d":[]})");
+  EXPECT_EQ(doc.dump_pretty(2),
+            "{\n  \"a\": [\n    1,\n    {}\n  ],\n  \"b\": {\n"
+            "    \"c\": \"x\"\n  },\n  \"d\": []\n}");
+  EXPECT_EQ(Json(JsonArray{}).dump_pretty(2), "[]");
+  EXPECT_EQ(Json(7).dump_pretty(2), "7");
+}
+
+TEST(JsonWriter, NonFiniteNumbersWriteNull) {
+  JsonWriter w;
+  w.begin_array();
+  w.number(std::nan(""));
+  w.number(INFINITY);
+  w.number(1.5);
+  w.end_array();
+  EXPECT_EQ(w.take(), "[null,null,1.5]");
+}
+
+TEST(JsonWriter, FileModeWritesThroughInChunks) {
+  std::mt19937 rng(7);
+  JsonArray big;
+  for (std::size_t size = 0; size < 300 * 1024;) {
+    big.push_back(random_json(rng, 1));
+    size += big.back().dump().size() + 1;
+  }
+  const std::string want = Json(big).dump();
+  std::FILE* f = std::tmpfile();
+  ASSERT_NE(f, nullptr);
+  JsonWriter w(f);
+  w.value(Json(big));
+  ASSERT_TRUE(w.flush());
+  EXPECT_EQ(w.bytes(), want.size());
+  std::string got(want.size(), '\0');
+  std::rewind(f);
+  ASSERT_EQ(std::fread(got.data(), 1, got.size(), f), got.size());
+  std::fclose(f);
+  EXPECT_EQ(got, want);
+}
+
+// --- JsonReader: members in JsonObject order, named by the decoder.
+
+TEST(JsonReader, ReadsNamedMembersAndSkipsUnknownOnes) {
+  const std::string doc = Json::parse(
+      R"({"a":1,"b":[{"x":[[1]]},2],"c":"s","e":{"k":1,"z":true},"f":[3,4]})")
+      .dump();
+  JsonReader r(doc);
+  r.begin_object();
+  EXPECT_EQ(r.integer("a"), 1);
+  EXPECT_EQ(r.string("c"), "s");  // "b" skipped, nested containers and all
+  EXPECT_FALSE(r.has("d"));       // absent: the reader stays on "e"
+  r.want("e");
+  r.begin_object();
+  std::string_view key;
+  ASSERT_TRUE(r.next_key(key));
+  EXPECT_EQ(key, "k");
+  EXPECT_EQ(r.number(), 1.0);
+  r.end_object();  // skips "z"
+  r.want("f");
+  r.begin_array();
+  std::vector<std::int64_t> f;
+  while (r.more()) f.push_back(r.integer());
+  EXPECT_EQ(f, (std::vector<std::int64_t>{3, 4}));
+  EXPECT_FALSE(r.has("g"));
+  r.end_object();
+  r.end();
+}
+
+TEST(JsonReader, ErrorsNameWhatAndWhere) {
+  auto message = [](const std::string& doc, auto&& read) {
+    JsonReader r(doc);
+    try {
+      read(r);
+    } catch (const JsonError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  EXPECT_NE(message(R"({"b":1})",
+                    [](JsonReader& r) {
+                      r.begin_object();
+                      r.want("c");
+                    })
+                .find("missing key 'c'"),
+            std::string::npos);
+  EXPECT_NE(message(R"({"a":"1"})",
+                    [](JsonReader& r) {
+                      r.begin_object();
+                      r.number("a");
+                    })
+                .find("expected a number at offset"),
+            std::string::npos);
+  EXPECT_NE(message(R"({"a":1} x)",
+                    [](JsonReader& r) {
+                      r.begin_object();
+                      r.end_object();
+                      r.end();
+                    })
+                .find("trailing characters"),
+            std::string::npos);
+  const std::string deep = "{\"a\":" + std::string(kMaxJsonDepth, '[') +
+                           std::string(kMaxJsonDepth, ']') + "}";
+  EXPECT_NE(message(deep,
+                    [](JsonReader& r) {
+                      r.begin_object();
+                      r.end_object();
+                    })
+                .find("nesting too deep"),
+            std::string::npos);
 }
 
 }  // namespace

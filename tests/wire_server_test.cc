@@ -494,6 +494,63 @@ TEST_F(WireFixture, GracefulDrainLosesNoAcknowledgedReports) {
   std::filesystem::remove_all(dir);
 }
 
+// An explicit compaction that cannot write its snapshot is a 503 with
+// Retry-After, is counted, and leaves the committed epoch authoritative:
+// a restart recovers every acknowledged report from the old snapshot plus
+// the journal. The fault is a directory squatting on the snapshot's tmp
+// path, so the open fails.
+TEST_F(WireFixture, FailedCompactionIs503AndLosesNoAcknowledgedReports) {
+  const std::string dir = ::testing::TempDir() + "/oak_wire_compact_fail_test";
+  std::filesystem::remove_all(dir);
+  OakConfig oc;
+  oc.durability.enabled = true;
+  oc.durability.dir = dir;
+  boot({}, oc);
+  // Bootstrap committed epoch 1; the next compaction stages epoch 2.
+  ASSERT_TRUE(std::filesystem::exists(dir + "/snapshot-1.json"));
+  std::filesystem::create_directories(dir + "/snapshot-2.json.tmp");
+  const std::string manifest_before = [&] {
+    std::ifstream in(dir + "/MANIFEST", std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  }();
+
+  BlockingClient cli = client();
+  const std::string wire = report_wire();
+  int acked = 0;
+  for (int i = 0; i < 5; ++i) {
+    auto r = cli.request("POST", "/oak/report", {{"Host", "busy.com"}}, wire);
+    ASSERT_TRUE(r.has_value());
+    if (r->status == 204) ++acked;
+  }
+  auto resp = cli.request("POST", "/admin/compact", {}, "");
+  ASSERT_TRUE(resp.has_value());
+  EXPECT_EQ(resp->status, 503) << resp->body;
+  EXPECT_EQ(resp->headers.get("retry-after").value_or(""), "1");
+  EXPECT_EQ(oak_->metrics_snapshot().counter("oak_compact_failures_total"),
+            1u);
+  for (int i = 0; i < 5; ++i) {
+    auto r = cli.request("POST", "/oak/report", {{"Host", "busy.com"}}, wire);
+    ASSERT_TRUE(r.has_value());
+    if (r->status == 204) ++acked;
+  }
+  EXPECT_EQ(acked, 10);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot-2.json"));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/snapshot-1.json"));
+  {
+    std::ifstream in(dir + "/MANIFEST", std::ios::binary);
+    EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+              manifest_before);
+  }
+  cli.close();
+
+  srv_.reset();
+  oak_.reset();
+  ShardedOakServer recovered(universe_, "busy.com", oc, 4);
+  EXPECT_EQ(recovered.recovery_report().epoch, 1u);
+  EXPECT_EQ(recovered.reports_processed(), std::size_t(acked));
+  std::filesystem::remove_all(dir);
+}
+
 TEST_F(WireFixture, OversizedBodySheds413BeforeBuffering) {
   WireConfig wc;
   wc.limits.max_body_bytes = 64;
