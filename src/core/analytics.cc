@@ -85,7 +85,7 @@ SiteAnalytics::SiteAnalytics(const OakServer& server,
     for (const auto& [rule_id, ar] : profile.active) {
       auto it = by_rule.find(rule_id);
       if (it == by_rule.end()) continue;
-      // Same half-open boundary as OakServer::expire_rules: at exactly
+      // Same half-open boundary as DecisionCore::expire: at exactly
       // now == expires_at the rule is expired. The server reaps lazily (on
       // the user's next serve/report), so an audit taken in between must
       // classify the entry by what the server would do, not by what the

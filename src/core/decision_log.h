@@ -62,15 +62,15 @@ util::Json decision_to_json(const Decision& d);
 // --- Replayable report context --------------------------------------------
 
 // One (rule, violator) match from a processed report: the rule's default
-// text matched this violator at this severity. First-match only, mirroring
-// consider_activations' "first matching violator wins".
+// text matched this violator at this severity. First-match only: the
+// answer DecisionCore's MatchSource gives (core/policy.h).
 struct ContextRuleMatch {
   int rule_id = 0;
   double severity = 0.0;
   std::string violator_ip;
 };
 
-// Same, for one alternative of a rule (review_active_rules' input): the
+// Same, for one alternative of a rule (the history review's input): the
 // alternative's text matched this violator. Recorded for *every*
 // alternative of every rule regardless of what is active, because a
 // candidate policy may have a different alternative live at this point.

@@ -1,7 +1,6 @@
 #include "core/oak_server.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 #include "browser/report_decoder.h"
@@ -10,6 +9,60 @@
 #include "util/strings.h"
 
 namespace oak::core {
+
+namespace {
+
+// The live MatchSource: the first violator, in detection order, whose
+// domains the memoized matcher matches. Domain and script hashes are
+// hoisted once per report instead of once per (rule × violator) probe; the
+// domain hashes go into `hash_scratch`, recycled across reports.
+class ViolatorMatches final : public MatchSource {
+ public:
+  ViolatorMatches(const Matcher& matcher, const DetectionResult& detection,
+                  const std::vector<std::string>& scripts,
+                  std::vector<std::uint64_t>& hash_scratch, double now)
+      : matcher_(matcher),
+        violators_(detection.violators),
+        scripts_(scripts),
+        scripts_hash_(fnv1a(scripts)),
+        domain_hashes_(hash_scratch),
+        now_(now) {
+    hash_scratch.clear();
+    for (const auto& v : violators_) hash_scratch.push_back(fnv1a(v.domains));
+  }
+
+  ViolatorMatch rule_match(const Rule& rule) override {
+    return first(rule, nullptr);
+  }
+  ViolatorMatch alt_match(const Rule& rule, std::size_t alt) override {
+    return first(rule, &rule.alternatives[alt]);
+  }
+
+ private:
+  // A null `alt_text` probes the default text (memoized by rule id).
+  ViolatorMatch first(const Rule& rule, const std::string* alt_text) const {
+    for (std::size_t vi = 0; vi < violators_.size(); ++vi) {
+      const Violation& v = violators_[vi];
+      const MatchTier tier =
+          alt_text != nullptr
+              ? matcher_.match_text(*alt_text, v.domains, domain_hashes_[vi],
+                                    scripts_, scripts_hash_, now_)
+              : matcher_.match_rule(rule, v.domains, domain_hashes_[vi],
+                                    scripts_, scripts_hash_, now_);
+      if (tier != MatchTier::kNone) return {v.severity(), &v.ip};
+    }
+    return {};
+  }
+
+  const Matcher& matcher_;
+  const std::vector<Violation>& violators_;
+  const std::vector<std::string>& scripts_;
+  const std::uint64_t scripts_hash_;
+  const std::vector<std::uint64_t>& domain_hashes_;
+  const double now_;
+};
+
+}  // namespace
 
 OakServer::OakServer(page::WebUniverse& universe, std::string site_host,
                      OakConfig cfg)
@@ -27,6 +80,7 @@ OakServer::OakServer(page::WebUniverse& universe, std::string site_host,
   matcher_ = std::make_unique<Matcher>(fetcher, cfg_.matcher);
   engine_ = std::make_unique<PolicyEngine>(cfg_.policy,
                                            cfg_.metrics ? &metrics_ : nullptr);
+  DecisionCounters counters;
   if (cfg_.metrics) {
     obs_.decode = &metrics_.histogram("oak_ingest_decode_seconds");
     obs_.group = &metrics_.histogram("oak_ingest_group_seconds");
@@ -39,12 +93,14 @@ OakServer::OakServer(page::WebUniverse& universe, std::string site_host,
     obs_.reports_rejected = &metrics_.counter("oak_reports_rejected_total");
     obs_.pages_served = &metrics_.counter("oak_pages_served_total");
     obs_.pages_modified = &metrics_.counter("oak_pages_modified_total");
-    obs_.activations = &metrics_.counter("oak_rule_activations_total");
+    counters.activations = &metrics_.counter("oak_rule_activations_total");
     obs_.expirations = &metrics_.counter("oak_rule_expirations_total");
-    obs_.deactivations = &metrics_.counter("oak_rule_deactivations_total");
+    counters.deactivations = &metrics_.counter("oak_rule_deactivations_total");
     obs_.contexts_recorded =
         &metrics_.counter("oak_policy_contexts_recorded_total");
   }
+  counters.expirations = obs_.expirations;  // rule retirement counts too
+  core_ = std::make_unique<DecisionCore>(*engine_, rules_, log_, counters);
 }
 
 obs::MetricsSnapshot OakServer::metrics_snapshot() const {
@@ -234,23 +290,6 @@ UserProfile& OakServer::user_for(const http::Request& req,
   return user;
 }
 
-void OakServer::expire_rules(UserProfile& user, double now) {
-  for (auto it = user.active.begin(); it != user.active.end();) {
-    // Half-open lifetime [activated_at, expires_at): a rule is already
-    // expired at exactly now == expires_at (see the ttl_s contract in
-    // rule.h). SiteAnalytics applies the same comparison when counting
-    // expired-but-unreaped actives.
-    if (it->second.expires_at > 0.0 && now >= it->second.expires_at) {
-      log_.record(Decision{now, user.user_id, it->first, DecisionType::kExpire,
-                           "", 0.0, it->second.alternative_index});
-      if (obs_.expirations != nullptr) obs_.expirations->inc();
-      it = user.active.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 http::Response OakServer::serve_page(const http::Request& req, double now) {
   std::string path = req.url.path == "/" ? "/index.html" : req.url.path;
   const std::string url = "http://" + site_host_ + path;
@@ -268,7 +307,7 @@ http::Response OakServer::serve_page(const http::Request& req, double now) {
   // stale "active" rules indefinitely (the server never applies an expired
   // rule, but the audit plane would keep counting it as live).
   if (cfg_.enabled) {
-    expire_rules(user, now);
+    core_->expire(user, now);
     // A serve advances rule-expiry time even though no report arrives, so
     // the replay log needs the tick (core/decision_log.h, serve_only).
     if (cfg_.policy.record_context) {
@@ -367,18 +406,9 @@ DetectionResult OakServer::analyze(const std::string& user_id,
 void OakServer::process_report(UserProfile& user,
                                const browser::ReportView& report, double now,
                                DetectionResult* out_detection) {
-  ++user.reports_received;
   ++reports_processed_;
   if (obs_.reports_ingested != nullptr) obs_.reports_ingested->inc();
-  // Reject non-finite and negative PLTs at the accumulator: plt_s comes off
-  // the wire, and a single 1e308 sample would push plt_sum_s to +Inf, from
-  // where every derived mean (and the treated/holdback lift ratio) becomes
-  // Inf or NaN forever.
-  const bool plt_accepted = std::isfinite(report.plt_s) && report.plt_s > 0.0;
-  if (plt_accepted) {
-    user.plt_sum_s += report.plt_s;
-    ++user.plt_count;
-  }
+  const double plt_s = DecisionCore::count_report(user, report.plt_s);
 
   obs::ScopedTimer group_timer(obs_.group);
   std::vector<ServerObservation> observations =
@@ -394,199 +424,52 @@ void OakServer::process_report(UserProfile& user,
   urls_scratch_.reserve(report.entries.size());
   for (const auto& e : report.entries) urls_scratch_.push_back(e.url);
   report_script_urls(urls_scratch_, scripts_scratch_);
-  // Hash hoisting: the matcher memoizes on (text, domains, scripts) hashes.
-  // The script set is fixed per report and each violator's domain set is
-  // fixed per detection, so hash them once here instead of once per
-  // (rule × violator) probe inside the matcher.
-  const std::uint64_t scripts_hash = fnv1a(scripts_scratch_);
-  domain_hash_scratch_.clear();
-  domain_hash_scratch_.reserve(detection.violators.size());
-  for (const auto& v : detection.violators) {
-    domain_hash_scratch_.push_back(fnv1a(v.domains));
-  }
+  ViolatorMatches matches(*matcher_, detection, scripts_scratch_,
+                          domain_hash_scratch_, now);
 
   if (cfg_.policy.record_context) {
-    record_report_context(user, detection, scripts_scratch_,
-                          domain_hash_scratch_, scripts_hash,
-                          plt_accepted ? report.plt_s : 0.0, now);
+    record_report_context(user, matches, plt_s, now);
   }
 
-  expire_rules(user, now);
-  // Racing cohort accounting: the report's PLT is a sample for every raced
-  // rule still active at this instant (after expiry, before the history
-  // verdict — the page this PLT measures was served under the pre-review
-  // alternative). PolicyReplayer mirrors this ordering exactly.
-  if (plt_accepted) {
-    race_events_scratch_.clear();
-    engine_->observe_report(user, report.plt_s, now,
-                            [this](int id) { return rule(id); },
-                            &race_events_scratch_);
-    for (Decision& d : race_events_scratch_) log_.record(std::move(d));
-  }
+  core_->expire(user, now);
   {
     obs::ScopedTimer match_timer(obs_.match);
-    review_active_rules(user, detection, scripts_scratch_,
-                        domain_hash_scratch_, scripts_hash, now);
-    consider_activations(user, detection, scripts_scratch_,
-                         domain_hash_scratch_, scripts_hash, now);
+    first_state_scratch_.clear();
+    core_->decide(user, matches, plt_s, cfg_.history, now,
+                  &first_state_scratch_);
+  }
+  for (int rule_id : first_state_scratch_) {
+    holders_[rule_id].push_back(user.user_id);
   }
 
   if (out_detection) *out_detection = std::move(detection);
 }
 
-void OakServer::record_report_context(
-    UserProfile& user, const DetectionResult& detection,
-    const std::vector<std::string>& scripts,
-    const std::vector<std::uint64_t>& domain_hashes,
-    std::uint64_t scripts_hash, double plt_s, double now) {
+void OakServer::record_report_context(UserProfile& user, MatchSource& matches,
+                                      double plt_s, double now) {
   ReportContext ctx;
   ctx.time = now;
   ctx.user_id = user.user_id;
   ctx.client_ip = user.client_ip;
   ctx.plt_s = plt_s;
-  // Probe every rule and every alternative against the violator set —
-  // regardless of what is active or banned for this user — because a
-  // candidate policy replayed over this context may have any alternative
-  // live at this point. First-match semantics mirror the live loops; the
+  // Ask about every rule and every alternative — regardless of what is
+  // active or banned for this user — because a candidate policy replayed
+  // over this context may have any alternative live at this point. The
   // memoized matcher makes the full sweep cheap.
   for (const auto& r : rules_) {
-    for (std::size_t vi = 0; vi < detection.violators.size(); ++vi) {
-      const Violation& v = detection.violators[vi];
-      if (matcher_->match_rule(r, v.domains, domain_hashes[vi], scripts,
-                               scripts_hash, now) != MatchTier::kNone) {
-        ctx.rule_matches.push_back(
-            ContextRuleMatch{r.id, v.severity(), v.ip});
-        break;
-      }
+    if (const ViolatorMatch m = matches.rule_match(r)) {
+      ctx.rule_matches.push_back(
+          ContextRuleMatch{r.id, m.severity, *m.violator_ip});
     }
     for (std::size_t ai = 0; ai < r.alternatives.size(); ++ai) {
-      for (std::size_t vi = 0; vi < detection.violators.size(); ++vi) {
-        const Violation& v = detection.violators[vi];
-        if (matcher_->match_text(r.alternatives[ai], v.domains,
-                                 domain_hashes[vi], scripts, scripts_hash,
-                                 now) != MatchTier::kNone) {
-          ctx.alt_matches.push_back(
-              ContextAltMatch{r.id, ai, v.severity(), v.ip});
-          break;
-        }
+      if (const ViolatorMatch m = matches.alt_match(r, ai)) {
+        ctx.alt_matches.push_back(
+            ContextAltMatch{r.id, ai, m.severity, *m.violator_ip});
       }
     }
   }
   log_.record_context(std::move(ctx));
   if (obs_.contexts_recorded != nullptr) obs_.contexts_recorded->inc();
-}
-
-void OakServer::review_active_rules(
-    UserProfile& user, const DetectionResult& detection,
-    const std::vector<std::string>& scripts,
-    const std::vector<std::uint64_t>& domain_hashes,
-    std::uint64_t scripts_hash, double now) {
-  if (detection.violators.empty()) return;
-  if (cfg_.history == HistoryMode::kAlwaysKeep) return;
-  for (auto it = user.active.begin(); it != user.active.end();) {
-    ActiveRule& ar = it->second;
-    const Rule* r = rule(ar.rule_id);
-    if (!r || r->type == RuleType::kRemove || r->alternatives.empty()) {
-      ++it;
-      continue;
-    }
-    const std::size_t idx =
-        std::min(ar.alternative_index, r->alternatives.size() - 1);
-    const std::string& alt_text = r->alternatives[idx];
-
-    const Violation* alt_violation = nullptr;
-    for (std::size_t vi = 0; vi < detection.violators.size(); ++vi) {
-      const Violation& v = detection.violators[vi];
-      if (matcher_->match_text(alt_text, v.domains, domain_hashes[vi],
-                               scripts, scripts_hash, now) !=
-          MatchTier::kNone) {
-        alt_violation = &v;
-        break;
-      }
-    }
-    if (!alt_violation) {
-      ++it;
-      continue;
-    }
-
-    // The history verdict (§4.2.3 and its strategy variants) is the
-    // engine's call; this loop owns the mutation and the logging.
-    const double alt_distance = alt_violation->severity();
-    switch (engine_->on_alternative_violation(*r, user, ar, alt_distance,
-                                              cfg_.history)) {
-      case HistoryAction::kKeep:
-        log_.record(Decision{now, user.user_id, ar.rule_id,
-                             DecisionType::kKeepAlternative, alt_violation->ip,
-                             alt_distance, idx});
-        ++it;
-        break;
-      case HistoryAction::kAdvance:
-        ar.alternative_index = idx + 1;
-        log_.record(Decision{now, user.user_id, ar.rule_id,
-                             DecisionType::kAdvanceAlternative,
-                             alt_violation->ip, alt_distance,
-                             ar.alternative_index});
-        ++it;
-        break;
-      case HistoryAction::kDeactivate:
-        log_.record(Decision{now, user.user_id, ar.rule_id,
-                             DecisionType::kDeactivate, alt_violation->ip,
-                             alt_distance, idx});
-        if (obs_.deactivations != nullptr) obs_.deactivations->inc();
-        engine_->on_deactivated(*r, user, now);
-        user.pending_violations.erase(ar.rule_id);
-        it = user.active.erase(it);
-        break;
-    }
-  }
-}
-
-void OakServer::consider_activations(
-    UserProfile& user, const DetectionResult& detection,
-    const std::vector<std::string>& scripts,
-    const std::vector<std::uint64_t>& domain_hashes,
-    std::uint64_t scripts_hash, double now) {
-  if (detection.violators.empty()) return;
-  for (const auto& r : rules_) {
-    if (user.active.count(r.id) || user.banned.count(r.id)) continue;
-
-    const Violation* hit = nullptr;
-    for (std::size_t vi = 0; vi < detection.violators.size(); ++vi) {
-      const Violation& v = detection.violators[vi];
-      if (matcher_->match_rule(r, v.domains, domain_hashes[vi], scripts,
-                               scripts_hash, now) != MatchTier::kNone) {
-        hit = &v;
-        break;
-      }
-    }
-    if (!hit) continue;
-
-    // About to create this user's first state for the rule: enter the
-    // holder index. Active and banned were ruled out above; any other
-    // state means the uid is indexed already.
-    if (!user.pending_violations.count(r.id) &&
-        !user.next_alternative.count(r.id) && !user.race.count(r.id) &&
-        !user.cooldown_until.count(r.id)) {
-      holders_[r.id].push_back(user.user_id);
-    }
-    // Threshold counting and alternative choice are the strategy's call
-    // (the built-in "paper" strategy reproduces the seed flow bit-for-bit).
-    auto choice = engine_->on_rule_violation(r, user, hit->severity(), now);
-    if (!choice) continue;
-
-    ActiveRule ar;
-    ar.rule_id = r.id;
-    ar.alternative_index = choice->alternative_index;
-    ar.activated_at = now;
-    ar.expires_at = r.ttl_s > 0.0 ? now + r.ttl_s : 0.0;
-    ar.violation_distance = hit->severity();
-    ar.violator_ip = hit->ip;
-    user.active[r.id] = ar;
-    log_.record(Decision{now, user.user_id, r.id, DecisionType::kActivate,
-                         hit->ip, ar.violation_distance,
-                         ar.alternative_index});
-    if (obs_.activations != nullptr) obs_.activations->inc();
-  }
 }
 
 }  // namespace oak::core

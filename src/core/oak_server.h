@@ -93,6 +93,9 @@ class OakServer {
  public:
   OakServer(page::WebUniverse& universe, std::string site_host,
             OakConfig cfg = {});
+  // Pinned in place: the decision core and install()'s handler hold `this`.
+  OakServer(const OakServer&) = delete;
+  OakServer& operator=(const OakServer&) = delete;
 
   // Throws std::invalid_argument unless the rule passes Rule::validate and
   // names a strategy this server's policy engine has.
@@ -203,34 +206,16 @@ class OakServer {
   http::Response ingest_report(const http::Request& req, double now);
   void process_report(UserProfile& user, const browser::ReportView& report,
                       double now, DetectionResult* out_detection);
-  // `domain_hashes[i]` is fnv1a(detection.violators[i].domains) and
-  // `scripts_hash` is fnv1a(scripts) — computed once per report in
-  // process_report and threaded through so the matcher's memo probes skip
-  // rehashing per (rule × violator).
-  void review_active_rules(UserProfile& user, const DetectionResult& detection,
-                           const std::vector<std::string>& scripts,
-                           const std::vector<std::uint64_t>& domain_hashes,
-                           std::uint64_t scripts_hash, double now);
-  void consider_activations(UserProfile& user,
-                            const DetectionResult& detection,
-                            const std::vector<std::string>& scripts,
-                            const std::vector<std::uint64_t>& domain_hashes,
-                            std::uint64_t scripts_hash, double now);
-  void expire_rules(UserProfile& user, double now);
   // Checked rule in, matcher memo untouched (callers decide).
   int install_rule_(Rule rule);
   // Drops the rule and every holder's state for it, logging kExpire for
   // each active holder in ascending uid order; false for an unknown id.
   bool retire_rule_(int rule_id, double now);
   // Capture the policy-independent replay context for one report: every
-  // rule's (and every alternative's) first matching violator, via the
-  // memoized matcher (Policy::record_context).
-  void record_report_context(UserProfile& user,
-                             const DetectionResult& detection,
-                             const std::vector<std::string>& scripts,
-                             const std::vector<std::uint64_t>& domain_hashes,
-                             std::uint64_t scripts_hash, double plt_s,
-                             double now);
+  // rule's (and every alternative's) first matching violator, asked of the
+  // same live match source the decision core reads (Policy::record_context).
+  void record_report_context(UserProfile& user, MatchSource& matches,
+                             double plt_s, double now);
   UserProfile& user_for(const http::Request& req, http::Response& resp,
                         double now);
   // Find-or-create through the store's uid index (one hash probe on the hot
@@ -251,9 +236,7 @@ class OakServer {
     obs::Counter* reports_rejected = nullptr;
     obs::Counter* pages_served = nullptr;
     obs::Counter* pages_modified = nullptr;
-    obs::Counter* activations = nullptr;
     obs::Counter* expirations = nullptr;
-    obs::Counter* deactivations = nullptr;
     obs::Counter* contexts_recorded = nullptr;
   };
 
@@ -263,6 +246,7 @@ class OakServer {
   std::unique_ptr<Matcher> matcher_;
   std::unique_ptr<PolicyEngine> engine_;
   std::vector<Rule> rules_;
+  std::unique_ptr<DecisionCore> core_;  // over engine_, rules_ and log_
   int next_rule_id_ = 1;
   // All per-user state, hot and cold (core/user_store.h). Untiered by
   // default; cfg_.user_store.hot_capacity bounds resident profiles.
@@ -290,8 +274,8 @@ class OakServer {
   std::vector<std::string_view> urls_scratch_;
   std::vector<std::string> scripts_scratch_;
   std::vector<std::uint64_t> domain_hash_scratch_;
-  // Racing kRaceWinner events staged by PolicyEngine::observe_report.
-  std::vector<Decision> race_events_scratch_;
+  // Rules the report gave the user first state for (holder index input).
+  std::vector<int> first_state_scratch_;
 };
 
 // Streams the export_state document of servers with disjoint users (a

@@ -1,6 +1,7 @@
 #include "core/policy.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <stdexcept>
 
@@ -624,6 +625,136 @@ void PolicyEngine::note_cooldown_suppressed() {
 
 void PolicyEngine::note_hysteresis_keep() {
   if (obs_.hysteresis_keeps != nullptr) obs_.hysteresis_keeps->inc();
+}
+
+// --- DecisionCore ---------------------------------------------------------
+
+DecisionCore::DecisionCore(PolicyEngine& engine,
+                           const std::vector<Rule>& rules, DecisionLog& log,
+                           DecisionCounters counters)
+    : engine_(engine), rules_(rules), log_(log), counters_(counters) {}
+
+const Rule* DecisionCore::rule(int id) const {
+  for (const auto& r : rules_) {
+    if (r.id == id) return &r;
+  }
+  return nullptr;
+}
+
+double DecisionCore::count_report(UserProfile& user, double plt_s) {
+  ++user.reports_received;
+  if (!std::isfinite(plt_s) || plt_s <= 0.0) return 0.0;
+  user.plt_sum_s += plt_s;
+  ++user.plt_count;
+  return plt_s;
+}
+
+void DecisionCore::expire(UserProfile& user, double now) {
+  for (auto it = user.active.begin(); it != user.active.end();) {
+    if (it->second.expires_at > 0.0 && now >= it->second.expires_at) {
+      log_.record(Decision{now, user.user_id, it->first, DecisionType::kExpire,
+                           "", 0.0, it->second.alternative_index});
+      if (counters_.expirations != nullptr) counters_.expirations->inc();
+      it = user.active.erase(it);
+    } else {
+      ++it;
+    }
+  }
+}
+
+void DecisionCore::decide(UserProfile& user, MatchSource& matches,
+                          double plt_s, HistoryMode history, double now,
+                          std::vector<int>* first_state) {
+  // The report's PLT is a racing sample for every raced rule still active
+  // at this instant: after expiry, before the history verdict (the page it
+  // measures was served under the pre-review alternative).
+  if (plt_s > 0.0) {
+    race_events_.clear();
+    engine_.observe_report(user, plt_s, now,
+                           [this](int id) { return rule(id); }, &race_events_);
+    for (Decision& d : race_events_) log_.record(std::move(d));
+  }
+  review(user, matches, history, now);
+  activate(user, matches, now, first_state);
+}
+
+void DecisionCore::review(UserProfile& user, MatchSource& matches,
+                          HistoryMode history, double now) {
+  if (history == HistoryMode::kAlwaysKeep) return;
+  for (auto it = user.active.begin(); it != user.active.end();) {
+    ActiveRule& ar = it->second;
+    const Rule* r = rule(ar.rule_id);
+    if (!r || r->type == RuleType::kRemove || r->alternatives.empty()) {
+      ++it;
+      continue;
+    }
+    const std::size_t idx =
+        std::min(ar.alternative_index, r->alternatives.size() - 1);
+    const ViolatorMatch hit = matches.alt_match(*r, idx);
+    if (!hit) {
+      ++it;
+      continue;
+    }
+    // The verdict (§4.2.3 and its strategy variants) is the engine's call;
+    // this loop owns the mutation and the logging.
+    DecisionType type = DecisionType::kKeepAlternative;
+    std::size_t logged_alt = idx;
+    switch (engine_.on_alternative_violation(*r, user, ar, hit.severity,
+                                             history)) {
+      case HistoryAction::kKeep:
+        break;
+      case HistoryAction::kAdvance:
+        type = DecisionType::kAdvanceAlternative;
+        logged_alt = ar.alternative_index = idx + 1;
+        break;
+      case HistoryAction::kDeactivate:
+        type = DecisionType::kDeactivate;
+        break;
+    }
+    log_.record(Decision{now, user.user_id, ar.rule_id, type,
+                         *hit.violator_ip, hit.severity, logged_alt});
+    if (type != DecisionType::kDeactivate) {
+      ++it;
+      continue;
+    }
+    if (counters_.deactivations != nullptr) counters_.deactivations->inc();
+    engine_.on_deactivated(*r, user, now);
+    user.pending_violations.erase(ar.rule_id);
+    it = user.active.erase(it);
+  }
+}
+
+void DecisionCore::activate(UserProfile& user, MatchSource& matches,
+                            double now, std::vector<int>* first_state) {
+  for (const auto& r : rules_) {
+    if (user.active.count(r.id) || user.banned.count(r.id)) continue;
+    const ViolatorMatch hit = matches.rule_match(r);
+    if (!hit) continue;
+    // Active and banned were ruled out above; no other state either means
+    // this violation gives the user their first state for the rule.
+    if (first_state != nullptr && !user.pending_violations.count(r.id) &&
+        !user.next_alternative.count(r.id) && !user.race.count(r.id) &&
+        !user.cooldown_until.count(r.id)) {
+      first_state->push_back(r.id);
+    }
+    // Threshold counting and alternative choice are the strategy's call
+    // (the built-in "paper" strategy reproduces the seed flow bit-for-bit).
+    auto choice = engine_.on_rule_violation(r, user, hit.severity, now);
+    if (!choice) continue;
+
+    ActiveRule ar;
+    ar.rule_id = r.id;
+    ar.alternative_index = choice->alternative_index;
+    ar.activated_at = now;
+    ar.expires_at = r.ttl_s > 0.0 ? now + r.ttl_s : 0.0;
+    ar.violation_distance = hit.severity;
+    ar.violator_ip = *hit.violator_ip;
+    user.active[r.id] = ar;
+    log_.record(Decision{now, user.user_id, r.id, DecisionType::kActivate,
+                         ar.violator_ip, ar.violation_distance,
+                         ar.alternative_index});
+    if (counters_.activations != nullptr) counters_.activations->inc();
+  }
 }
 
 }  // namespace oak::core

@@ -310,6 +310,77 @@ class PolicyEngine {
   friend class PolicyStrategy;
 };
 
+// --- The decision core ----------------------------------------------------
+
+// The first of a report's violators (in detection order) that matched a rule
+// text: its MAD distance and IP. A null violator_ip means none matched.
+struct ViolatorMatch {
+  double severity = 0.0;
+  const std::string* violator_ip = nullptr;
+  explicit operator bool() const { return violator_ip != nullptr; }
+};
+
+// Where DecisionCore reads one report's matches. Live serving probes the
+// memoized matcher against the detected violators (OakServer); replay looks
+// up what that probe recorded (PolicyReplayer).
+class MatchSource {
+ public:
+  virtual ~MatchSource() = default;
+  virtual ViolatorMatch rule_match(const Rule& rule) = 0;  // default text
+  virtual ViolatorMatch alt_match(const Rule& rule, std::size_t alt) = 0;
+};
+
+// Decision counters the core bumps; any may be null (replay passes none).
+struct DecisionCounters {
+  obs::Counter* activations = nullptr;
+  obs::Counter* deactivations = nullptr;
+  obs::Counter* expirations = nullptr;
+};
+
+// The per-user decisions of one report (§4.2.3 history rule, §4.2.4
+// activation policy), written once for live serving and offline replay:
+// count_report, expire, then decide (racing sample -> history review ->
+// activation). Every decision lands in `log`; all state lives in the
+// UserProfile and the engine's racing aggregates.
+class DecisionCore {
+ public:
+  // `rules` and `log` are borrowed and read live.
+  DecisionCore(PolicyEngine& engine, const std::vector<Rule>& rules,
+               DecisionLog& log, DecisionCounters counters = {});
+
+  // Counts one report for `user`, folding a finite, positive PLT into the
+  // mean (plt_s comes off the wire: one 1e308 sample would make every
+  // derived mean Inf). Returns the accepted PLT, 0 when rejected.
+  static double count_report(UserProfile& user, double plt_s);
+
+  // Ends active rules whose half-open lifetime [activated_at, expires_at)
+  // is over: at exactly now == expires_at a rule is expired (rule.h ttl_s).
+  // Page serves run it too.
+  void expire(UserProfile& user, double now);
+
+  // The rest of one report, after expire: the racing sample when plt_s (as
+  // count_report returned it) is positive, the history review of every
+  // active alternative, then activation of every matching rule that is
+  // neither active nor banned. Appends to `first_state`, when given, each
+  // rule id the user gets first state for (OakServer's holder index).
+  void decide(UserProfile& user, MatchSource& matches, double plt_s,
+              HistoryMode history, double now,
+              std::vector<int>* first_state = nullptr);
+
+ private:
+  const Rule* rule(int id) const;
+  void review(UserProfile& user, MatchSource& matches, HistoryMode history,
+              double now);
+  void activate(UserProfile& user, MatchSource& matches, double now,
+                std::vector<int>* first_state);
+
+  PolicyEngine& engine_;
+  const std::vector<Rule>& rules_;
+  DecisionLog& log_;
+  DecisionCounters counters_;
+  std::vector<Decision> race_events_;  // observe_report scratch
+};
+
 // --- Strategy interface (exposed for tests and the replay kernel) ---------
 
 class PolicyStrategy {

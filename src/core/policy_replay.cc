@@ -1,15 +1,46 @@
 #include "core/policy_replay.h"
 
 #include <algorithm>
-#include <cmath>
 #include <stdexcept>
 
 namespace oak::core {
 
+namespace {
+
+// The replay MatchSource: the first matches OakServer recorded for this
+// report (record_report_context), looked up instead of probed.
+class RecordedMatches final : public MatchSource {
+ public:
+  explicit RecordedMatches(const ReportContext& ctx) : ctx_(ctx) {}
+
+  ViolatorMatch rule_match(const Rule& rule) override {
+    for (const auto& m : ctx_.rule_matches) {
+      if (m.rule_id == rule.id) return {m.severity, &m.violator_ip};
+    }
+    return {};
+  }
+  ViolatorMatch alt_match(const Rule& rule, std::size_t alt) override {
+    for (const auto& m : ctx_.alt_matches) {
+      if (m.rule_id == rule.id && m.alt_index == alt) {
+        return {m.severity, &m.violator_ip};
+      }
+    }
+    return {};
+  }
+
+ private:
+  const ReportContext& ctx_;
+};
+
+}  // namespace
+
 PolicyReplayer::PolicyReplayer(std::vector<Rule> rules, const Policy& policy,
                                HistoryMode history)
-    : rules_(std::move(rules)), policy_(policy), history_(history) {
-  engine_ = std::make_unique<PolicyEngine>(policy_, nullptr);
+    : rules_(std::move(rules)),
+      policy_(policy),
+      history_(history),
+      engine_(std::make_unique<PolicyEngine>(policy_, nullptr)),
+      core_(*engine_, rules_, log_) {
   for (const auto& r : rules_) {
     if (!r.policy.empty() && !engine_->has_strategy(r.policy)) {
       throw std::invalid_argument("replay rule '" + r.name +
@@ -21,13 +52,6 @@ PolicyReplayer::PolicyReplayer(std::vector<Rule> rules, const Policy& policy,
 
 PolicyReplayer::~PolicyReplayer() = default;
 
-const Rule* PolicyReplayer::rule(int id) const {
-  for (const auto& r : rules_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
-}
-
 UserProfile& PolicyReplayer::profile(const ReportContext& ctx) {
   UserProfile& user = users_[ctx.user_id];
   if (user.user_id.empty()) user.user_id = ctx.user_id;
@@ -35,43 +59,24 @@ UserProfile& PolicyReplayer::profile(const ReportContext& ctx) {
   return user;
 }
 
-void PolicyReplayer::expire_rules(UserProfile& user, double now) {
-  // Same half-open boundary as OakServer::expire_rules.
-  for (auto it = user.active.begin(); it != user.active.end();) {
-    if (it->second.expires_at > 0.0 && now >= it->second.expires_at) {
-      log_.record(Decision{now, user.user_id, it->first, DecisionType::kExpire,
-                           "", 0.0, it->second.alternative_index});
-      it = user.active.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
 void PolicyReplayer::step(const ReportContext& ctx) {
   UserProfile& user = profile(ctx);
   if (ctx.serve_only) {
     // A page serve advances expiry time but decides nothing else.
     ++serve_ticks_;
-    expire_rules(user, ctx.time);
+    core_.expire(user, ctx.time);
     return;
   }
 
-  ++user.reports_received;
-  const bool plt_accepted = std::isfinite(ctx.plt_s) && ctx.plt_s > 0.0;
-  if (plt_accepted) {
-    user.plt_sum_s += ctx.plt_s;
-    ++user.plt_count;
-  }
-
+  const double plt_s = DecisionCore::count_report(user, ctx.plt_s);
+  core_.expire(user, ctx.time);
   // Scoring snapshot: was the candidate's mitigation live when this report
-  // (measuring the *previous* page load) arrived? Taken before this
-  // report's own decisions mutate the active set, mirroring the racing
-  // sample semantics in OakServer::process_report.
-  expire_rules(user, ctx.time);
+  // (measuring the *previous* page load) arrived? Taken after expiry and
+  // before this report's own decisions mutate the active set — the same
+  // instant the racing sample is taken.
   Sample sample;
   sample.time = ctx.time;
-  sample.plt_s = plt_accepted ? ctx.plt_s : 0.0;
+  sample.plt_s = plt_s;
   sample.violating = !ctx.rule_matches.empty();
   for (const auto& m : ctx.rule_matches) {
     if (user.active.count(m.rule_id) != 0) {
@@ -81,101 +86,8 @@ void PolicyReplayer::step(const ReportContext& ctx) {
   }
   samples_.push_back(sample);
 
-  if (plt_accepted) {
-    race_events_.clear();
-    engine_->observe_report(user, ctx.plt_s, ctx.time,
-                            [this](int id) { return rule(id); },
-                            &race_events_);
-    for (Decision& d : race_events_) log_.record(std::move(d));
-  }
-  review_active(user, ctx);
-  consider_activations(user, ctx);
-}
-
-void PolicyReplayer::review_active(UserProfile& user,
-                                   const ReportContext& ctx) {
-  if (ctx.rule_matches.empty() && ctx.alt_matches.empty()) return;
-  if (history_ == HistoryMode::kAlwaysKeep) return;
-  const double now = ctx.time;
-  for (auto it = user.active.begin(); it != user.active.end();) {
-    ActiveRule& ar = it->second;
-    const Rule* r = rule(ar.rule_id);
-    if (!r || r->type == RuleType::kRemove || r->alternatives.empty()) {
-      ++it;
-      continue;
-    }
-    const std::size_t idx =
-        std::min(ar.alternative_index, r->alternatives.size() - 1);
-    // The recorded first-match for this (rule, alternative) pair stands in
-    // for the live matcher probe.
-    const ContextAltMatch* alt_violation = nullptr;
-    for (const auto& m : ctx.alt_matches) {
-      if (m.rule_id == ar.rule_id && m.alt_index == idx) {
-        alt_violation = &m;
-        break;
-      }
-    }
-    if (!alt_violation) {
-      ++it;
-      continue;
-    }
-    const double alt_distance = alt_violation->severity;
-    switch (engine_->on_alternative_violation(*r, user, ar, alt_distance,
-                                              history_)) {
-      case HistoryAction::kKeep:
-        log_.record(Decision{now, user.user_id, ar.rule_id,
-                             DecisionType::kKeepAlternative,
-                             alt_violation->violator_ip, alt_distance, idx});
-        ++it;
-        break;
-      case HistoryAction::kAdvance:
-        ar.alternative_index = idx + 1;
-        log_.record(Decision{now, user.user_id, ar.rule_id,
-                             DecisionType::kAdvanceAlternative,
-                             alt_violation->violator_ip, alt_distance,
-                             ar.alternative_index});
-        ++it;
-        break;
-      case HistoryAction::kDeactivate:
-        log_.record(Decision{now, user.user_id, ar.rule_id,
-                             DecisionType::kDeactivate,
-                             alt_violation->violator_ip, alt_distance, idx});
-        engine_->on_deactivated(*r, user, now);
-        user.pending_violations.erase(ar.rule_id);
-        it = user.active.erase(it);
-        break;
-    }
-  }
-}
-
-void PolicyReplayer::consider_activations(UserProfile& user,
-                                          const ReportContext& ctx) {
-  if (ctx.rule_matches.empty()) return;
-  const double now = ctx.time;
-  for (const auto& r : rules_) {
-    if (user.active.count(r.id) != 0 || user.banned.count(r.id) != 0) continue;
-    const ContextRuleMatch* hit = nullptr;
-    for (const auto& m : ctx.rule_matches) {
-      if (m.rule_id == r.id) {
-        hit = &m;
-        break;
-      }
-    }
-    if (!hit) continue;
-    auto choice = engine_->on_rule_violation(r, user, hit->severity, now);
-    if (!choice) continue;
-    ActiveRule ar;
-    ar.rule_id = r.id;
-    ar.alternative_index = choice->alternative_index;
-    ar.activated_at = now;
-    ar.expires_at = r.ttl_s > 0.0 ? now + r.ttl_s : 0.0;
-    ar.violation_distance = hit->severity;
-    ar.violator_ip = hit->violator_ip;
-    user.active[r.id] = ar;
-    log_.record(Decision{now, user.user_id, r.id, DecisionType::kActivate,
-                         hit->violator_ip, ar.violation_distance,
-                         ar.alternative_index});
-  }
+  RecordedMatches matches(ctx);
+  core_.decide(user, matches, plt_s, history_, ctx.time);
 }
 
 ReplayScore PolicyReplayer::score(double bucket_s) const {

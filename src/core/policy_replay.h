@@ -15,16 +15,17 @@
 //
 // Replay is deterministic by construction: it touches no clock, no RNG and
 // no network — two runs over the same log are byte-identical (the CI
-// policy-replay job asserts exactly this). It differs from
-// core/trace.h's ReportTrace: a trace replays raw *reports* through a full
-// server (detection, matcher and all) and needs the WebUniverse; a context
-// replay starts after detection, so it can re-decide with nothing but the
-// log file — the right shape for an operator laptop.
+// policy-replay job asserts exactly this). It differs from re-running the
+// write-ahead journal (core/durability.h) into a fresh server, which
+// re-decides raw *requests* (detection, matcher and all) and needs the
+// WebUniverse; a context replay starts after detection, so it can re-decide
+// with nothing but the log file — the right shape for an operator laptop.
 //
-// Fidelity contract, pinned by tests/policy_replay_test.cc: replaying a log
-// through the engine configuration that recorded it reproduces the live
-// decision stream exactly (minus kServeModified, which is a serving-plane
-// event the context stream does not model).
+// Fidelity contract, pinned by tests/policy_replay_test.cc over every
+// strategy and history mode: replaying a log through the engine
+// configuration that recorded it reproduces the live decision stream
+// exactly (minus kServeModified, which is a serving-plane event the context
+// stream does not model).
 //
 // Counterfactual PLT scoring and its limits: the recorded reports embed
 // whatever mitigations the *recording* policy made, so a candidate that
@@ -79,10 +80,9 @@ struct ReplayScore {
 
 // Re-decides a recorded context stream under one candidate policy.
 //
-// Mirrors OakServer's per-report ordering exactly: expire -> racing
-// observation -> history review -> activation consideration. All state is
-// per-user UserProfile plus the engine's derived aggregates; nothing reads
-// a clock.
+// Runs live serving's DecisionCore (core/policy.h) over the recorded
+// matches where the live server probes its matcher. All state is per-user
+// UserProfile plus the engine's derived aggregates; nothing reads a clock.
 class PolicyReplayer {
  public:
   // `rules` must carry the ids the log refers to. Throws
@@ -107,11 +107,7 @@ class PolicyReplayer {
   util::Json result_json(double bucket_s = 300.0) const;
 
  private:
-  const Rule* rule(int id) const;
   UserProfile& profile(const ReportContext& ctx);
-  void expire_rules(UserProfile& user, double now);
-  void review_active(UserProfile& user, const ReportContext& ctx);
-  void consider_activations(UserProfile& user, const ReportContext& ctx);
 
   std::vector<Rule> rules_;
   Policy policy_;  // owned: the engine borrows it (declared before engine_)
@@ -119,6 +115,7 @@ class PolicyReplayer {
   std::unique_ptr<PolicyEngine> engine_;
   std::map<std::string, UserProfile> users_;  // deterministic iteration
   DecisionLog log_;
+  DecisionCore core_;  // over engine_, rules_ and log_ (declared after them)
 
   // Per-report outcome retained for scoring. `mitigated_live` means the
   // candidate policy had the matching rule active when the report arrived —
@@ -130,7 +127,6 @@ class PolicyReplayer {
     bool mitigated_live = false;
   };
   std::vector<Sample> samples_;
-  std::vector<Decision> race_events_;  // scratch for observe_report
   std::size_t serve_ticks_ = 0;
 };
 

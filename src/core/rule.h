@@ -49,8 +49,8 @@ struct Rule {
   std::vector<std::string> alternatives;  // empty for type 1
   // Activation lifetime. An activation made at time t is live over the
   // half-open interval [t, t + ttl_s): at exactly now == t + ttl_s the rule
-  // is already expired — the server will not apply it, expire_rules() reaps
-  // it (logging kExpire), and SiteAnalytics counts it as an expiration.
+  // is already expired — the server will not apply it, DecisionCore::expire
+  // reaps it (logging kExpire), and SiteAnalytics counts it as an expiration.
   // Half-open matches every other TTL in the stack (browser DNS cache,
   // match-cache memo/script TTLs), so "ttl_s = horizon" never leaks one
   // extra serve at the boundary. 0 = never expires.

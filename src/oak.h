@@ -25,9 +25,9 @@
 #include "core/analytics.h"       // IWYU pragma: export
 #include "core/fleet.h"           // IWYU pragma: export
 #include "core/oak_server.h"      // IWYU pragma: export
+#include "core/policy_replay.h"   // IWYU pragma: export
 #include "core/rule_parser.h"     // IWYU pragma: export
 #include "core/sharded_server.h"  // IWYU pragma: export
-#include "core/trace.h"           // IWYU pragma: export
 
 // Experiment scaffolding (vantage points, scenario builders, survey).
 #include "workload/existing_experiment.h"  // IWYU pragma: export

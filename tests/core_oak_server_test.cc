@@ -186,7 +186,7 @@ TEST_F(OakServerFixture, TtlBoundaryIsHalfOpenAtExactExpiry) {
 
 // Regression: expired rules were only reaped on the oak-applies serve path,
 // so holdback (and policy-filtered) users carried stale "active" entries
-// forever — the audit kept counting them as live. expire_rules now runs on
+// forever — the audit kept counting them as live. Expiry now runs on
 // every serve while Oak is enabled, before the holdback early-return.
 TEST_F(OakServerFixture, ExpiredRulesReapedForHoldbackUsers) {
   Rule r = make_domain_rule("ttl-rule", ext_hosts_[1], {"alt.cdn.net"});

@@ -1,13 +1,18 @@
-// PolicyReplayer: fidelity against the live decision stream, determinism,
-// scoring sanity, and racing-cohort stability across export/import.
+// PolicyReplayer: fidelity against the live decision stream (for every
+// strategy and history mode), determinism, scoring sanity, and
+// racing-cohort stability across export/import.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/oak_server.h"
 #include "core/policy_replay.h"
+#include "http/cookies.h"
+#include "util/rng.h"
 
 namespace oak::core {
 namespace {
@@ -34,6 +39,7 @@ class ReplayFixture : public ::testing::Test {
     alt_ip_ = net.server(alt).addr().to_string();
     net::ServerId alt2 = net.add_server(net::ServerConfig{});
     universe_.dns().bind("alt2.cdn.net", net.server(alt2).addr());
+    alt2_ip_ = net.server(alt2).addr().to_string();
 
     page::SiteBuilder b(universe_, "shop.com", origin_);
     for (const auto& h : ext_hosts_) {
@@ -122,6 +128,7 @@ class ReplayFixture : public ::testing::Test {
   std::vector<std::string> ext_hosts_;
   std::vector<std::string> ext_ips_;
   std::string alt_ip_;
+  std::string alt2_ip_;
   page::Site site_;
 };
 
@@ -194,6 +201,144 @@ TEST_F(ReplayFixture, RejectsUnknownRuleStrategy) {
   EXPECT_THROW(PolicyReplayer(rules, oak->config().policy,
                               oak->config().history),
                std::invalid_argument);
+}
+
+// Replay fidelity over every strategy and history mode: for each cell of
+// {paper, racing, hysteresis, scoped over two subnets} x {min-distance,
+// always-keep, always-revert} x allow_reactivation x {linear, round-robin},
+// randomized HTTP traffic (six users on three subnets, one of them moving,
+// interleaved page serves, two TTL'd rules with two alternatives each,
+// reports violating defaults and alternatives at once) is decided live and
+// then replayed from the recorded contexts; the two decision streams must
+// agree record for record.
+TEST_F(ReplayFixture, ReplayMatchesLiveForEveryStrategyAndHistoryMode) {
+  const char* strategies[] = {"paper", "racing", "hysteresis", "scoped"};
+  const std::pair<const char*, HistoryMode> histories[] = {
+      {"min-distance", HistoryMode::kMinDistance},
+      {"always-keep", HistoryMode::kAlwaysKeep},
+      {"always-revert", HistoryMode::kAlwaysRevert}};
+  const std::pair<const char*, AlternativeSelection> selections[] = {
+      {"linear", AlternativeSelection::kLinear},
+      {"round-robin", AlternativeSelection::kRoundRobin}};
+  const std::map<std::string, std::string> ip_of = {
+      {"shop.com", "10.0.0.1"},        {ext_hosts_[0], ext_ips_[0]},
+      {ext_hosts_[1], ext_ips_[1]},    {ext_hosts_[2], ext_ips_[2]},
+      {"alt.cdn.net", alt_ip_},        {"alt2.cdn.net", alt2_ip_}};
+  const std::vector<std::string> slow_pool = {
+      ext_hosts_[0], ext_hosts_[1], ext_hosts_[2], "alt.cdn.net",
+      "alt2.cdn.net"};
+
+  // Short racing and cooldown horizons so races decide and cooldowns lapse
+  // within one run; the scoped strategy routes two subnets to the others.
+  StrategyConfig racing;
+  racing.name = "racing";
+  racing.kind = StrategyKind::kRacing;
+  racing.racing.min_samples = 3;
+  StrategyConfig hysteresis;
+  hysteresis.name = "hysteresis";
+  hysteresis.kind = StrategyKind::kHysteresis;
+  hysteresis.hysteresis.cooldown_s = 60.0;
+  StrategyConfig scoped;
+  scoped.name = "scoped";
+  scoped.kind = StrategyKind::kScoped;
+  scoped.routes = {{*Subnet::parse("10.1.0.0/16"), "racing"},
+                   {*Subnet::parse("10.2.0.0/16"), "hysteresis"}};
+  scoped.fallback = "paper";
+  const std::vector<StrategyConfig> table = {racing, hysteresis, scoped};
+
+  std::map<DecisionType, std::size_t> seen;
+  for (const char* strategy : strategies) {
+    for (const auto& [history_name, history] : histories) {
+      for (const bool reactivate : {true, false}) {
+        for (const auto& [selection_name, selection] : selections) {
+          SCOPED_TRACE(std::string(strategy) + " / " + history_name +
+                       " / reactivation " + (reactivate ? "on" : "off") +
+                       " / " + selection_name);
+          OakConfig cfg;
+          cfg.detector.min_population = 4;
+          cfg.policy.selection = selection;
+          cfg.policy.allow_reactivation = reactivate;
+          cfg.policy.strategies = table;
+          cfg.policy.default_strategy = strategy;
+          cfg.policy.record_context = true;
+          cfg.history = history;
+          OakServer oak(universe_, "shop.com", cfg);
+          Rule a = make_domain_rule("switch-ext0", ext_hosts_[0],
+                                    {"alt.cdn.net", "alt2.cdn.net"});
+          a.ttl_s = 120.0;
+          a.min_violations = 2;
+          Rule b = make_domain_rule("switch-ext1", ext_hosts_[1],
+                                    {"alt2.cdn.net", "alt.cdn.net"});
+          b.ttl_s = 90.0;
+          oak.add_rule(a);
+          oak.add_rule(b);
+
+          util::Rng rng(4711);
+          const char* users[] = {"u0", "u1", "u2", "u3", "u4", "u5"};
+          const char* ips[] = {"10.1.0.1", "10.1.0.2", "10.2.0.1",
+                               "10.2.0.2", "192.168.0.1", "192.168.0.2"};
+          double t = 0.0;
+          for (int step = 0; step < 400; ++step) {
+            const int u = int(rng.uniform_int(0, 5));
+            t += rng.uniform(1.0, 12.0);
+            // One user moves across subnets halfway, so scoped routing
+            // sends the same user through two strategies.
+            const std::string ip = (u == 5 && step >= 200) ? "10.1.0.9"
+                                                           : ips[u];
+            const std::string cookie =
+                std::string(http::kOakUserCookie) + "=" + users[u];
+            if (rng.chance(0.3)) {
+              http::Request get = http::Request::get(site_.index_url());
+              get.headers.set("Cookie", cookie);
+              get.client_ip = ip;
+              ASSERT_TRUE(oak.handle(get, t).ok());
+              continue;
+            }
+            browser::PerfReport r;
+            r.user_id = users[u];
+            r.page_url = site_.index_url();
+            r.plt_s = rng.chance(0.05) ? -1.0 : rng.uniform(0.5, 4.0);
+            std::vector<std::string> slow;
+            const int n_slow = int(rng.uniform_int(0, 2));
+            for (int k = 0; k < n_slow; ++k) {
+              slow.push_back(rng.pick(slow_pool));
+            }
+            double base = 0.09;
+            for (const auto& [host, host_ip] : ip_of) {
+              double time = base;
+              base += 0.01;
+              for (const auto& s : slow) {
+                if (s == host) time = rng.uniform(1.5, 6.0);
+              }
+              r.entries.push_back({"http://" + host + "/obj.png", host,
+                                   host_ip, 10'000, 0.1, time});
+            }
+            http::Request post = http::Request::post(
+                "http://shop.com/oak/report", r.to_json().dump());
+            post.headers.set("Cookie", cookie);
+            post.client_ip = ip;
+            ASSERT_LT(oak.handle(post, t).status, 400);
+          }
+
+          const auto live = minus_serve(oak.decision_log());
+          ASSERT_FALSE(live.empty());
+          PolicyReplayer replayer(oak.rules(), oak.config().policy,
+                                  oak.config().history);
+          for (const auto& c : oak.decision_log().contexts()) replayer.step(c);
+          EXPECT_EQ(dump_decisions(replayer.log().entries()),
+                    dump_decisions(live));
+          for (const auto& d : live) ++seen[d.type];
+        }
+      }
+    }
+  }
+  // The traffic reaches every decision the core makes.
+  for (DecisionType t :
+       {DecisionType::kActivate, DecisionType::kDeactivate,
+        DecisionType::kAdvanceAlternative, DecisionType::kKeepAlternative,
+        DecisionType::kExpire, DecisionType::kRaceWinner}) {
+    EXPECT_GT(seen[t], 0u) << to_string(t);
+  }
 }
 
 // Racing cohorts and accumulators survive an export/import round-trip:
